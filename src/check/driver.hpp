@@ -22,6 +22,7 @@
 #include "check/history.hpp"
 #include "check/oracle.hpp"
 #include "core/lane.hpp"
+#include "support/codec.hpp"
 #include "support/rng.hpp"
 #include "support/time.hpp"
 #include "sync/interrupt.hpp"
@@ -240,6 +241,48 @@ checked_ops make_checked_ops(std::shared_ptr<Q> q, bool fair,
   };
   return o;
 }
+
+// Queue-shaped view of a raw transfer core (transfer_stack, transfer_queue)
+// that exposes the core's whole xfer surface, async producers included, so
+// make_checked_ops drives it with the async+timed+now mix. The facades
+// never mix async and synchronous producers on one linked core; this view
+// does, which is what builds nodes that change role between push attempts
+// (docs/memory_reclamation.md §3).
+template <typename Core>
+class core_view {
+  using codec = item_codec<std::uint64_t>;
+
+ public:
+  core_view() { core_.set_token_disposer(&codec::dispose); }
+
+  void put(std::uint64_t v) {
+    core_.xfer(codec::encode(v), true, wait_kind::sync);
+  }
+  std::uint64_t take() {
+    return codec::decode_consume(
+        core_.xfer(empty_token, false, wait_kind::sync));
+  }
+  void put_async(std::uint64_t v) {
+    core_.xfer(codec::encode(v), true, wait_kind::async);
+  }
+  bool offer(std::uint64_t v, deadline dl) {
+    item_token t = codec::encode(v);
+    if (core_.xfer(t, true, kind_of(dl), dl) != empty_token) return true;
+    codec::dispose(t); // ownership stayed with us
+    return false;
+  }
+  std::optional<std::uint64_t> poll(deadline dl) {
+    item_token r = core_.xfer(empty_token, false, kind_of(dl), dl);
+    if (r == empty_token) return std::nullopt;
+    return codec::decode_consume(r);
+  }
+
+ private:
+  static wait_kind kind_of(deadline dl) {
+    return dl == deadline::expired() ? wait_kind::now : wait_kind::timed;
+  }
+  Core core_;
+};
 
 // Build checked_ops over a TransferQueue-shaped implementation:
 //   void put(uint64_t)                       -- asynchronous, cannot fail

@@ -18,6 +18,7 @@ namespace {
 
 std::atomic<std::uint64_t> g_epoch{0}; // bumped by enable(): re-seeds threads
 std::atomic<std::uint64_t> g_fired{0};
+std::atomic<point_hook> g_hook{nullptr};
 config g_cfg; // written only while quiescent (see header)
 
 struct thread_stream {
@@ -78,9 +79,14 @@ std::uint64_t perturbations() noexcept {
   return g_fired.load(std::memory_order_relaxed);
 }
 
+void set_point_hook(point_hook h) noexcept {
+  g_hook.store(h, std::memory_order_release);
+}
+
 namespace detail {
 
-void perturb_slow(const char * /*label*/) noexcept {
+void perturb_slow(const char *label) noexcept {
+  if (point_hook h = g_hook.load(std::memory_order_acquire)) h(label);
   auto &s = stream();
   std::uint64_t roll = s.rng.below(1000);
   if (roll < g_cfg.sleep_permille) {

@@ -53,6 +53,13 @@ bool enabled() noexcept;
 // Diagnostics: how many points fired (yield or sleep) since enable().
 std::uint64_t perturbations() noexcept;
 
+// Test hook: while enabled, every perturbation point first calls `h` with
+// its label, so a test can stall one chosen thread at one named point (set
+// the permille odds to 0 to get the hook alone). nullptr removes it. Same
+// quiescence rule as enable().
+using point_hook = void (*)(const char *label);
+void set_point_hook(point_hook h) noexcept;
+
 // Internals -----------------------------------------------------------
 
 namespace detail {

@@ -6,7 +6,7 @@
 // single *fulfilling* node of the opposite type at the top. A fulfiller
 // pushes its fulfilling node above a waiting reservation; from that moment
 // every other thread must help complete the annihilation of the top two
-// nodes before doing its own work (lock-freedom via helping).
+// nodes before doing its own work (lock-freedom via helping; port note 3).
 //
 // Linearization points (paper §3.3):
 //   * same-mode path: the head CAS that pushes our node (request), and the
@@ -37,6 +37,11 @@
 //     succeed through a predecessor that has begun dying. Head pops freeze
 //     the victim(s) before the head CAS for the same reason, which also
 //     pins the post-pop successor value the CAS installs.
+//
+//  3. Who pops the pair. The JDK's matched waiter also pops itself, so up
+//     to three threads race per handoff. Here it just leaves; the fulfiller
+//     pops its own pair, and a bystander helps only after `back_spins`
+//     relaxes without head moving -- a bounded wait, so still lock-free.
 //
 // Memory-order discipline (docs/memory_model.md): the head/next/xword
 // CASes, the helping protocol's reads in the fulfillment loop, and the
@@ -107,7 +112,7 @@ class transfer_stack {
     const unsigned mode = is_data ? data_mode : req_mode;
 
     snode *s = nullptr;
-    typename Reclaimer::slot hz_h(rec_), hz_m(rec_), hz_n(rec_);
+    typename Reclaimer::slot hz_h(rec_), hz_m(rec_);
 
     for (;;) {
       snode *h = hz_h.protect(head_.value);
@@ -122,12 +127,12 @@ class transfer_stack {
           if (s) rec_.destroy(s); // never linked: back through the policy
           return empty_token;
         }
-        if (s == nullptr) {
+        if (s == nullptr)
           s = rec_.template create<snode>(e, mode);
-          if (wk == wait_kind::async) s->life.preset_released();
-        } else {
+        else
           s->mode = mode; // may carry a fulfilling bit from a failed attempt
-        }
+        // Fixed per publication: a reused node may have changed role.
+        s->life.reset_unpublished(wk == wait_kind::async);
         SSQ_MO_JUSTIFIED(
             "relaxed: pre-publication store; the seq_cst head CAS below "
             "releases the node");
@@ -148,8 +153,7 @@ class transfer_stack {
           if (s->life.mark_released()) rec_retire(s);
           return empty_token;
         }
-        // Fulfilled: help the fulfiller pop the pair, then leave.
-        help_unlink_self(s, hz_h);
+        // Fulfilled: the fulfiller (or a helper) pops the pair; leave.
         if (s->life.mark_released()) rec_retire(s);
         return is_data ? e : x;
       } else if (!(h->mode & fulfilling)) {
@@ -158,11 +162,11 @@ class transfer_stack {
           pop_head(h);
           continue;
         }
-        if (s == nullptr) {
+        if (s == nullptr)
           s = rec_.template create<snode>(e, mode | fulfilling);
-        } else {
+        else
           s->mode = mode | fulfilling;
-        }
+        s->life.reset_unpublished(false); // we wait out our own match
         SSQ_MO_JUSTIFIED(
             "relaxed: pre-publication store; the seq_cst head CAS below "
             "releases the node");
@@ -229,8 +233,9 @@ class transfer_stack {
         }
       } else {
         // ------------------------------ top is someone else's fulfiller:
-        // help complete the annihilation, then retry our own operation.
-        help(h, hz_m, hz_n);
+        // give its owner time to pop the pair, help if it stalls, then
+        // retry our own operation.
+        if (!head_moves_from(h)) help(h, hz_m);
       }
     }
   }
@@ -466,28 +471,25 @@ class transfer_stack {
     }
   }
 
-  // After our own node s was matched: if the pair (fulfiller above us, us)
-  // is still at the top, complete the pop on the fulfiller's behalf.
-  void help_unlink_self(snode *s, typename Reclaimer::slot &hz_h) {
-    if (s->life.is_unlinked()) return;
-    snode *h = hz_h.protect(head_.value);
-    if (h == nullptr || h == s) return;
-    // h is protected; reading h->next is safe (strip: h may be dying).
-    SSQ_MO_JUSTIFIED(
-        "acquire: comparison-only read; the decisive ordering comes from "
-        "try_match/pop_pair's seq_cst operations");
-    if (strip(h->next.load(SSQ_MO(acquire))) != s) return;
-    // Route through try_match rather than popping directly: it verifies h
-    // really is the fulfiller we matched with, and completes h's xword if
-    // the matching thread is still between its two stores -- popping first
-    // would let h's owner mistake the pop for a retraction.
-    if (try_match(s, h)) pop_pair(h);
+  // Bystander deferral: wait up to back_spins relaxes for head to move off
+  // someone else's fulfilling node h. A budget of 0 (park_only, a
+  // uniprocessor) or -1 (spin_only) means help at once.
+  bool head_moves_from(snode *h) const noexcept {
+    for (int i = 0; i < pol_.back_spins; ++i) {
+      SSQ_INTERLEAVE("ts.defer");
+      cpu_relax();
+      SSQ_MO_JUSTIFIED(
+          "acquire: comparison-only probe of head; h is never dereferenced "
+          "here and the retry re-protects head");
+      if (head_.value.load(SSQ_MO(acquire)) != h) return true;
+    }
+    return false;
   }
 
   // Help the fulfilling node h annihilate with its partner. Caller holds a
-  // hazard on h (it was protected as head).
-  void help(snode *h, typename Reclaimer::slot &hz_m,
-            typename Reclaimer::slot &hz_n) {
+  // hazard on h (it was protected as head); m is protected via hz_m, and its
+  // successor is only ever used as a frozen pointer value inside the pops.
+  void help(snode *h, typename Reclaimer::slot &hz_m) {
     auto [m, h_dying] = read_next(h, hz_m);
     if (h_dying || h->life.is_unlinked()) return; // pop already in flight
     if (m == nullptr) {
@@ -498,8 +500,6 @@ class transfer_stack {
       }
       return;
     }
-    (void)hz_n; // m is hazard-protected via hz_m; its successor is only
-                // ever used as a frozen pointer value inside the pops
     if (try_match(m, h)) {
       pop_pair(h);
     } else {

@@ -19,6 +19,7 @@
 #include "core/exchanger.hpp"
 #include "core/linked_transfer_queue.hpp"
 #include "core/synchronous_queue.hpp"
+#include "core/transfer_stack.hpp"
 
 using namespace ssq;
 using namespace ssq::check;
@@ -99,6 +100,22 @@ TEST(LinearizeCheck, UnfairPlainHp) {
       std::make_shared<
           synchronous_queue<std::uint64_t, false, mem::hp_reclaimer>>(),
       false, 104);
+}
+
+// The raw stack core through its whole xfer surface: async puts mix with
+// timed and now operations on one stack, so unpublished nodes change role
+// between push attempts (docs/memory_reclamation.md §3). The facades never
+// build that shape.
+TEST(LinearizeCheck, StackCoreAsyncMixPooledHp) {
+  expect_clean_run(
+      std::make_shared<core_view<transfer_stack<mem::pooled_hp_reclaimer>>>(),
+      false, 120);
+}
+
+TEST(LinearizeCheck, StackCoreAsyncMixPlainHp) {
+  expect_clean_run(
+      std::make_shared<core_view<transfer_stack<mem::hp_reclaimer>>>(), false,
+      121);
 }
 
 // ------------------------------------------------------------- baselines

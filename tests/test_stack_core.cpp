@@ -2,10 +2,15 @@
 // annihilation protocol, helping, cancellation, LIFO service, reclamation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cstring>
+#include <functional>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "check/schedule_fuzz.hpp"
 #include "core/transfer_stack.hpp"
 #include "support/diagnostics.hpp"
 
@@ -15,6 +20,33 @@ namespace {
 
 item_token tok_of(int v) { return item_codec<int>::encode(v); }
 int val_of(item_token t) { return item_codec<int>::decode_consume(t); }
+
+// A pooled_hp_reclaimer whose slot::protect runs a one-shot callback right
+// after the protected read, on the thread that armed it only. xfer's first
+// protect is its head snapshot, so a test can change the stack between that
+// snapshot and the push CAS that depends on it -- deterministically.
+thread_local std::function<void()> tl_after_protect;
+
+struct hooked_reclaimer : mem::pooled_hp_reclaimer {
+  class slot {
+   public:
+    explicit slot(hooked_reclaimer &r) noexcept : inner_(r) {}
+    template <typename T>
+    T *protect(const std::atomic<T *> &src) {
+      T *p = inner_.protect(src);
+      if (tl_after_protect) std::exchange(tl_after_protect, nullptr)();
+      return p;
+    }
+    template <typename T>
+    void set(T *p) noexcept {
+      inner_.set(p);
+    }
+    void clear() noexcept { inner_.clear(); }
+
+   private:
+    mem::pooled_hp_reclaimer::slot inner_;
+  };
+};
 
 } // namespace
 
@@ -175,20 +207,28 @@ TEST(TransferStack, MixedModeStressConserves) {
   EXPECT_LE(s.unsafe_length(), 16u);
 }
 
+// The matched waiter leaves without popping (transfer_stack.hpp port note
+// 3), so this checks the pairs still come off the stack -- popped by their
+// fulfillers or by bystanders -- and every node is retired, not merely
+// freed by the destructor.
 TEST(TransferStack, NodesAreReclaimed) {
   diag::reset_all();
-  {
-    mem::hazard_domain dom;
-    transfer_stack<> s(sync::spin_policy::adaptive(),
-                       mem::pooled_hp_reclaimer{&dom});
-    std::thread p([&] {
+  mem::hazard_domain dom;
+  transfer_stack<> s(sync::spin_policy::adaptive(),
+                     mem::pooled_hp_reclaimer{&dom});
+  std::vector<std::thread> ts;
+  for (int p = 0; p < 2; ++p) {
+    ts.emplace_back([&] {
       for (int i = 0; i < 2000; ++i) s.xfer(tok_of(i), true, wait_kind::sync);
     });
-    for (int i = 0; i < 2000; ++i)
-      (void)val_of(s.xfer(empty_token, false, wait_kind::sync));
-    p.join();
-    dom.drain();
+    ts.emplace_back([&] {
+      for (int i = 0; i < 2000; ++i)
+        (void)val_of(s.xfer(empty_token, false, wait_kind::sync));
+    });
   }
+  for (auto &t : ts) t.join();
+  EXPECT_EQ(s.unsafe_length(), 0u);
+  s.reclaimer().quiesce();
   EXPECT_EQ(diag::read(diag::id::node_alloc),
             diag::read(diag::id::node_free));
 }
@@ -248,3 +288,151 @@ TEST(TransferStack, DestructorDisposesBufferedData) {
   }
   EXPECT_EQ(diag::read(diag::id::box_alloc), diag::read(diag::id::box_free));
 }
+
+// ------------------------------------------------------------------------
+// Node re-roling: xfer reuses a node whose push CAS lost, possibly in the
+// other role, so its lifecycle bits are fixed at each publication
+// (docs/memory_reclamation.md §3).
+
+// An async put snapshots an empty stack, a consumer's request lands before
+// the put's push CAS, and the put retries as a fulfiller with the node it
+// already built. The fulfilling push must not carry the async role's
+// owner-released bit, or the fulfiller's own release aborts on "double
+// owner release".
+TEST(TransferStackReRole, AsyncPutThatLosesItsPushFulfilsCleanly) {
+  diag::reset_all();
+  mem::hazard_domain dom;
+  {
+    hooked_reclaimer rec;
+    rec.dom = &dom;
+    transfer_stack<hooked_reclaimer> s(sync::spin_policy::adaptive(), rec);
+    std::atomic<item_token> got{empty_token};
+    std::thread consumer;
+    tl_after_protect = [&] {
+      consumer = std::thread(
+          [&] { got.store(s.xfer(empty_token, false, wait_kind::sync)); });
+      while (s.is_empty()) std::this_thread::yield(); // request linked
+    };
+    item_token t = tok_of(7);
+    EXPECT_EQ(s.xfer(t, true, wait_kind::async), t);
+    consumer.join();
+    EXPECT_EQ(val_of(got.load()), 7);
+    EXPECT_TRUE(s.is_empty());
+    s.reclaimer().quiesce();
+  }
+  EXPECT_EQ(diag::read(diag::id::node_alloc),
+            diag::read(diag::id::node_free));
+}
+
+// A put snapshots a waiting request and builds a fulfilling node, another
+// producer satisfies that request before the put's push CAS, and the put
+// retries on the now-empty stack by pushing the same node async. That push
+// must carry the owner-released bit, or nobody retires the node once a
+// consumer pops it.
+TEST(TransferStackReRole, FulfillerNodeRepushedAsyncIsRetired) {
+  diag::reset_all();
+  mem::hazard_domain dom;
+  {
+    hooked_reclaimer rec;
+    rec.dom = &dom;
+    transfer_stack<hooked_reclaimer> s(sync::spin_policy::adaptive(), rec);
+    std::atomic<item_token> got{empty_token};
+    std::thread consumer(
+        [&] { got.store(s.xfer(empty_token, false, wait_kind::sync)); });
+    while (s.is_empty()) std::this_thread::yield(); // request linked
+    tl_after_protect = [&] {
+      EXPECT_NE(s.xfer(tok_of(1), true, wait_kind::now), empty_token);
+    };
+    s.xfer(tok_of(2), true, wait_kind::async);
+    consumer.join();
+    EXPECT_EQ(val_of(got.load()), 1);
+    EXPECT_TRUE(s.head_is_data()); // the re-pushed node
+    EXPECT_EQ(val_of(s.xfer(empty_token, false, wait_kind::now)), 2);
+    EXPECT_TRUE(s.is_empty());
+    s.reclaimer().quiesce();
+    EXPECT_EQ(diag::read(diag::id::node_alloc),
+              diag::read(diag::id::node_free));
+  }
+}
+
+// ------------------------------------------------------------------------
+// Who pops the pair: the fulfiller, or a bystander after a bounded wait --
+// never the matched waiter (transfer_stack.hpp port note 3).
+
+#if defined(SSQ_SCHEDULE_FUZZ)
+namespace {
+
+// Point hook: stall the thread that armed tl_stall_at at that label until
+// the test releases it, and count the calling thread's ts.defer points.
+std::atomic<bool> g_stalled{false}, g_release{false};
+thread_local const char *tl_stall_at = nullptr;
+thread_local int tl_defers = 0;
+
+void stall_hook(const char *label) {
+  if (tl_stall_at && std::strcmp(label, tl_stall_at) == 0) {
+    tl_stall_at = nullptr;
+    g_stalled.store(true);
+    while (!g_release.load()) std::this_thread::yield();
+  }
+  if (std::strcmp(label, "ts.defer") == 0) ++tl_defers;
+}
+
+// The producer matches a waiting consumer and stops dead at ts.pop_pair.
+// The matched consumer returns without popping; a bystander that then
+// finds the fulfilling node on top defers for its back_spins budget and
+// completes the pop itself, while the fulfiller is still stalled.
+void bystander_pops_for_stalled_fulfiller(sync::spin_policy pol) {
+  fuzz::config fc;
+  fc.yield_permille = 0;
+  fc.sleep_permille = 0;
+  fuzz::enable(fc);
+  fuzz::set_point_hook(&stall_hook);
+  g_stalled.store(false);
+  g_release.store(false);
+  {
+    transfer_stack<> s(pol);
+    std::atomic<item_token> got{empty_token};
+    std::thread consumer(
+        [&] { got.store(s.xfer(empty_token, false, wait_kind::sync)); });
+    while (s.is_empty()) std::this_thread::yield();
+    std::thread fulfiller([&] {
+      tl_stall_at = "ts.pop_pair";
+      s.xfer(tok_of(5), true, wait_kind::sync);
+    });
+    while (!g_stalled.load()) std::this_thread::yield();
+    consumer.join();
+    EXPECT_EQ(val_of(got.load()), 5);
+    EXPECT_EQ(s.unsafe_length(), 2u); // the matched pair is still on top
+
+    tl_defers = 0;
+    EXPECT_EQ(s.xfer(empty_token, false, wait_kind::now), empty_token);
+    EXPECT_EQ(tl_defers, std::max(pol.back_spins, 0));
+    EXPECT_TRUE(s.is_empty()); // the bystander popped the pair
+
+    g_release.store(true);
+    fulfiller.join();
+    EXPECT_TRUE(s.is_empty());
+  }
+  fuzz::set_point_hook(nullptr);
+  fuzz::disable();
+}
+
+} // namespace
+
+TEST(TransferStackHelping, BystanderCompletesStalledFulfillersPop) {
+  bystander_pops_for_stalled_fulfiller(sync::spin_policy::adaptive());
+}
+
+// park_only has a zero back_spins budget: the bystander helps at once.
+TEST(TransferStackHelping, ParkOnlyBystanderHelpsWithoutWaiting) {
+  bystander_pops_for_stalled_fulfiller(sync::spin_policy::park_only());
+}
+#else
+TEST(TransferStackHelping, BystanderCompletesStalledFulfillersPop) {
+  GTEST_SKIP() << "needs -DSSQ_SCHEDULE_FUZZ=ON (point hooks)";
+}
+
+TEST(TransferStackHelping, ParkOnlyBystanderHelpsWithoutWaiting) {
+  GTEST_SKIP() << "needs -DSSQ_SCHEDULE_FUZZ=ON (point hooks)";
+}
+#endif

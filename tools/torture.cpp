@@ -19,10 +19,13 @@
 //             --check=linearize [--fuzz=1]
 //   impls: new-fair new-unfair seg-fair fab-fair fab-unfair java5-fair
 //          java5-unfair naive eliminating elim-unfair elim-fair
-//          ltq exchanger channel
+//          stack-core ltq exchanger channel
 //   (exchanger and channel support --check=linearize only. "eliminating"
 //   is an alias for elim-unfair. Lane-attributed impls -- fab-* and elim-*
-//   -- are checked against the relaxed per-lane FIFO spec when fair.)
+//   -- are checked against the relaxed per-lane FIFO spec when fair.
+//   stack-core is the raw transfer_stack behind new-unfair, driven through
+//   its whole xfer surface: async puts mix with timed and now operations,
+//   so nodes change role between push attempts.)
 //
 // --fuzz=1 turns on the schedule-perturbation points when the build compiled
 // them in (-DSSQ_SCHEDULE_FUZZ=ON); otherwise it warns and proceeds. The
@@ -50,6 +53,7 @@
 #include "core/exchanger.hpp"
 #include "core/linked_transfer_queue.hpp"
 #include "core/synchronous_queue.hpp"
+#include "core/transfer_stack.hpp"
 #include "harness/options.hpp"
 #include "support/diagnostics.hpp"
 #include "support/rng.hpp"
@@ -71,6 +75,7 @@ struct ops_t {
   std::function<std::uint64_t()> take;
   std::function<bool(std::uint64_t, deadline)> offer;
   std::function<std::optional<std::uint64_t>(deadline)> poll;
+  std::function<void(std::uint64_t)> put_async; // null if unsupported
   std::function<std::size_t()> length; // 0 if unsupported
 };
 
@@ -87,6 +92,8 @@ ops_t make_ops(std::shared_ptr<Q> q) {
     };
   }
   o.poll = [q](deadline dl) { return q->poll(dl); };
+  if constexpr (requires { q->put_async(std::uint64_t{1}); })
+    o.put_async = [q](std::uint64_t v) { q->put_async(v); };
   if constexpr (requires { q->unsafe_length(); }) {
     o.length = [q] { return q->unsafe_length(); };
   } else {
@@ -145,6 +152,9 @@ impl_desc make_impl(const std::string &name) {
   if (name == "elim-fair")
     return make_impl_both(
         std::make_shared<fair_eliminating_sq<std::uint64_t>>(), true);
+  if (name == "stack-core")
+    return make_impl_both(
+        std::make_shared<check::core_view<transfer_stack<>>>(), false);
   if (name == "ltq") {
     auto q = std::make_shared<linked_transfer_queue<std::uint64_t>>();
     impl_desc d;
@@ -188,7 +198,7 @@ int run_conserve(const ops_t &q, int nthreads, int seconds,
         if (produce) {
           std::uint64_t val = seq.fetch_add(1);
           bool sent = false;
-          switch (rng.below(3)) {
+          switch (rng.below(q.put_async ? 4 : 3)) {
             case 0: // timed with random small patience
               sent = q.offer(val, deadline::in(std::chrono::microseconds(
                                       rng.below(2000))));
@@ -196,9 +206,13 @@ int run_conserve(const ops_t &q, int nthreads, int seconds,
             case 1: // non-blocking
               sent = q.offer(val, deadline::expired());
               break;
-            default: // bounded-blocking (so shutdown stays responsive)
+            case 2: // bounded-blocking (so shutdown stays responsive)
               sent = q.offer(val,
                              deadline::in(std::chrono::milliseconds(20)));
+              break;
+            default: // async: buffered if nobody waits, cannot fail
+              q.put_async(val);
+              sent = true;
               break;
           }
           if (sent) {
