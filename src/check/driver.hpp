@@ -246,8 +246,9 @@ checked_ops make_checked_ops(std::shared_ptr<Q> q, bool fair,
 // that exposes the core's whole xfer surface, async producers included, so
 // make_checked_ops drives it with the async+timed+now mix. The facades
 // never mix async and synchronous producers on one linked core; this view
-// does, which is what builds nodes that change role between push attempts
-// (docs/memory_reclamation.md §3).
+// does, which is what puts async and waiting nodes, and a put's lost push
+// followed by an in-place match, on one stack (docs/memory_reclamation.md
+// §3).
 template <typename Core>
 class core_view {
   using codec = item_codec<std::uint64_t>;

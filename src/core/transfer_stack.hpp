@@ -1,58 +1,59 @@
 // The synchronous dual stack -- the paper's UNFAIR algorithm (§3.3, "The
-// synchronous dual stack"), extended with timeout and poll/offer modes.
+// synchronous dual stack"), extended with timeout and poll/offer modes, with
+// the waiter matched in place instead of annihilated by a fulfilling node.
 //
 // Structure: a singly linked list with a head pointer, derived from the
-// Treiber stack. It holds either data or reservations, plus (transiently) a
-// single *fulfilling* node of the opposite type at the top. A fulfiller
-// pushes its fulfilling node above a waiting reservation; from that moment
-// every other thread must help complete the annihilation of the top two
-// nodes before doing its own work (lock-freedom via helping; port note 3).
+// Treiber stack. It holds either data or reservations, never both: a node is
+// pushed only onto an empty stack or a live node of its own mode, and node
+// modes never change. A complementary arrival matches the top waiter in
+// place -- one CAS on the waiter's `xword` -- signals it, and pops it with
+// one head CAS; it never pushes a node of its own. A node whose xword is set
+// (matched or cancelled) is *dead*: whoever finds it on top pops it and
+// retries. The paper's fulfilling-node protocol (Listing 6) is kept verbatim
+// in dual_stack_basic.hpp; docs/algorithms.md §3 explains the difference.
 //
-// Linearization points (paper §3.3):
-//   * same-mode path: the head CAS that pushes our node (request), and the
-//     observation that our match word changed (follow-up);
-//   * fulfilling path: the head CAS that pushes the fulfilling node; the
-//     follow-up linearizes immediately after.
+// Linearization points:
+//   * waiting path: the head CAS that pushes our node (request), and the
+//     observation that our xword changed (follow-up);
+//   * matching path: the CAS on the waiter's xword; the follow-up
+//     linearizes immediately after.
 //
 // Port notes (C++ vs. Java -- what GC was hiding):
 //
-//  1. Result handoff. The JDK lets a waiter read `match.item` and a
-//     fulfiller read `m.item` *after* the nodes are popped, relying on GC to
-//     keep the counterpart's node alive. Here each node owns a write-once
-//     transfer word (`xword`); the unique winner of the match CAS copies
-//     the counterpart's token into each party's own node, so nobody ever
-//     dereferences a node it does not own or hold a hazard on:
+//  1. Result handoff. The JDK lets a waiter read `match.item` after the
+//     nodes are popped, relying on GC to keep the counterpart's node alive.
+//     Here each waiter node owns a write-once transfer word (`xword`) that
+//     receives the result, so nobody ever dereferences a node it does not
+//     own or hold a hazard on:
 //
 //       waiter node m:  xword: empty -> self-token          (cancelled)
 //                              empty -> data token          (m is a request)
-//                              empty -> fulfiller address   (m is data)
-//       fulfilling s:   xword: empty -> m's data token      (s is a request)
-//                              empty -> m's address         (s is data)
+//                              empty -> claimed_token       (m is data)
 //
-//  2. Unlink safety. A splice of a cancelled node through a *stale* (already
+//     The matcher reads a data node's immutable item under the hazard it
+//     already holds on it.
+//
+//  2. Unlink safety. A splice of a dead node through a *stale* (already
 //     popped) predecessor would retire a node still reachable from the live
 //     chain -- harmless in Java, fatal here. As in transfer_queue: before a
 //     node is physically unlinked its own next pointer is frozen (tag bit),
 //     and every next-pointer splice expects an untagged value, so it cannot
 //     succeed through a predecessor that has begun dying. Head pops freeze
-//     the victim(s) before the head CAS for the same reason, which also
-//     pins the post-pop successor value the CAS installs.
+//     the victim before the head CAS for the same reason, which also pins
+//     the post-pop successor value the CAS installs. So a pop and a splice
+//     unlink any node at most once.
 //
-//  3. Who pops the pair. The JDK's matched waiter also pops itself, so up
-//     to three threads race per handoff. Here it just leaves; the fulfiller
-//     pops its own pair, and a bystander helps only after `back_spins`
-//     relaxes without head moving -- a bounded wait, so still lock-free.
+//  3. Buried dead nodes. A push can land above a node that is matched at
+//     the same moment; the matcher's pop then fails and the dead node stays
+//     linked under a live one. It is popped when it reaches the top, or
+//     spliced by the clean() sweep of a waiter beneath it that cancels.
 //
 // Memory-order discipline (docs/memory_model.md): the head/next/xword
-// CASes, the helping protocol's reads in the fulfillment loop, and the
-// freeze/pop validation reads stay seq_cst -- the annihilation argument
-// ("a frozen fulfilling node always implies its xword is set") and the
-// oracle's pairing proof lean on one total order over them. The waiter
-// side relaxes as the labeled edge `snode.xword` (release: the match CAS
-// and the report store in try_match; acquire: is_cancelled, the wait
-// loop's done probe, and the final read), plus the annotated acquire
-// snapshot loads. Weakened orders are spelled SSQ_MO(...) so
-// -DSSQ_FORCE_SEQ_CST pins the file for differential runs.
+// CASes and the freeze/pop validation reads stay seq_cst. The waiter side
+// relaxes as the labeled edge `snode.xword` (release: the match CAS;
+// acquire: is_dead, the wait loop's done probe, and the final read), plus
+// the annotated acquire snapshot loads. Weakened orders are spelled
+// SSQ_MO(...) so -DSSQ_FORCE_SEQ_CST pins the file for differential runs.
 #pragma once
 
 #include <atomic>
@@ -75,7 +76,11 @@ namespace ssq {
 
 template <typename Reclaimer = mem::pooled_hp_reclaimer>
 class transfer_stack {
-  enum : unsigned { req_mode = 0, data_mode = 1, fulfilling = 2 };
+  enum : unsigned { req_mode = 0, data_mode = 1 };
+
+  // Written into a matched data node's xword: even, so never an inline
+  // token, and not a pointer, so never a box or the node's own address.
+  static constexpr item_token claimed_token = 2;
 
  public:
   explicit transfer_stack(sync::spin_policy pol = sync::spin_policy::adaptive(),
@@ -111,132 +116,67 @@ class transfer_stack {
                "async mode is producers-only");
     const unsigned mode = is_data ? data_mode : req_mode;
 
-    snode *s = nullptr;
-    typename Reclaimer::slot hz_h(rec_), hz_m(rec_);
+    snode *s = nullptr; // built for a push; reused if that push loses
+    typename Reclaimer::slot hz_h(rec_);
 
     for (;;) {
       snode *h = hz_h.protect(head_.value);
-      if (h == nullptr || h->mode == mode) {
-        // ---------------------------------------- empty or same-mode: wait
-        if (wk == wait_kind::now ||
-            (wk == wait_kind::timed && dl.expired_now())) {
-          if (h != nullptr && h->is_cancelled()) {
-            pop_head(h); // shed garbage, then retry the whole decision
-            continue;
-          }
-          if (s) rec_.destroy(s); // never linked: back through the policy
-          return empty_token;
-        }
-        if (s == nullptr)
-          s = rec_.template create<snode>(e, mode);
-        else
-          s->mode = mode; // may carry a fulfilling bit from a failed attempt
-        // Fixed per publication: a reused node may have changed role.
-        s->life.reset_unpublished(wk == wait_kind::async);
-        SSQ_MO_JUSTIFIED(
-            "relaxed: pre-publication store; the seq_cst head CAS below "
-            "releases the node");
-        s->next.store(h, SSQ_MO(relaxed));
-        SSQ_INTERLEAVE("ts.push");
-        if (!head_.value.compare_exchange_strong(h, s,
-                                                 std::memory_order_seq_cst)) {
-          diag::bump(diag::id::cas_fail);
-          continue;
-        }
-        // Request linearizes at the push above.
-        if (wk == wait_kind::async) return e;
-
-        item_token x = await_fulfill(s, dl, tok);
-        if (x == s->self_token()) { // cancelled
-          SSQ_INTERLEAVE("ts.cancelled");
-          clean(s);
-          if (s->life.mark_released()) rec_retire(s);
-          return empty_token;
-        }
-        // Fulfilled: the fulfiller (or a helper) pops the pair; leave.
-        if (s->life.mark_released()) rec_retire(s);
-        return is_data ? e : x;
-      } else if (!(h->mode & fulfilling)) {
-        // --------------------------------------- complementary: fulfill
-        if (h->is_cancelled()) { // shed a cancelled top node
-          pop_head(h);
-          continue;
-        }
-        if (s == nullptr)
-          s = rec_.template create<snode>(e, mode | fulfilling);
-        else
-          s->mode = mode | fulfilling;
-        s->life.reset_unpublished(false); // we wait out our own match
-        SSQ_MO_JUSTIFIED(
-            "relaxed: pre-publication store; the seq_cst head CAS below "
-            "releases the node");
-        s->next.store(h, SSQ_MO(relaxed));
-        SSQ_INTERLEAVE("ts.fulfill.push");
-        if (!head_.value.compare_exchange_strong(h, s,
-                                                 std::memory_order_seq_cst)) {
-          diag::bump(diag::id::cas_fail);
-          continue;
-        }
-        // Fulfillment loop: annihilate s with the node beneath it. Other
-        // threads may help; completion is signalled through s->xword.
-        for (;;) {
-          item_token got = s->xword.load(std::memory_order_seq_cst);
-          if (got != empty_token) { // a helper finished the match for us
-            if (!s->life.is_unlinked()) pop_pair(s);
-            if (s->life.mark_released()) rec_retire(s);
-            return is_data ? e : got;
-          }
-          if (s->life.is_unlinked()) {
-            // s left the stack with xword still empty at our read above.
-            // Either a match+pop raced between the two reads (xword is set
-            // now and final), or a helper retracted us from an empty stack
-            // (m == nullptr path) and we must start over.
-            got = s->xword.load(std::memory_order_seq_cst);
-            if (got != empty_token) {
-              if (s->life.mark_released()) rec_retire(s);
-              return is_data ? e : got;
-            }
-            if (s->life.mark_released()) rec_retire(s);
-            s = nullptr;
-            break; // outer loop; fresh node next time
-          }
-          auto [m, s_dying] = read_next(s, hz_m);
-          if (s_dying)
-            continue; // a match+pop is in flight; xword is set (try_match
-                      // stores it before any pop can freeze s)
-          if (m == nullptr) {
-            // All waiters vanished (timed out): retract the fulfilling
-            // node and start over.
-            snode *expected = s;
-            if (head_.value.compare_exchange_strong(
-                    expected, nullptr, std::memory_order_seq_cst)) {
-              snode *dead = s;
-              s = nullptr;
-              if (dead->life.mark_unlinked()) rec_retire(dead);
-              if (dead->life.mark_released()) rec_retire(dead);
-              break; // outer loop; fresh node next time
-            }
-            continue;
-          }
-          if (try_match(m, s)) {
-            pop_pair(s);
-            item_token r = s->xword.load(std::memory_order_seq_cst);
-            if (s->life.mark_released()) rec_retire(s);
-            return is_data ? e : r;
-          }
-          // m was cancelled: freeze and splice it out, try its successor.
-          snode *mn = freeze_next(m);
-          if (s->cas_next(m, mn)) {
-            if (m->life.mark_unlinked()) rec_retire(m);
-            diag::bump(diag::id::clean_unlink);
-          }
-        }
-      } else {
-        // ------------------------------ top is someone else's fulfiller:
-        // give its owner time to pop the pair, help if it stalls, then
-        // retry our own operation.
-        if (!head_moves_from(h)) help(h, hz_m);
+      if (h != nullptr && h->is_dead()) {
+        pop_head(h); // collapse garbage, then retry the whole decision
+        continue;
       }
+      if (h != nullptr && h->mode != mode) {
+        // ---------------------------- live complementary top: match in place
+        const item_token r = is_data ? e : h->item; // h is hazard-covered
+        item_token expected = empty_token;
+        // seq_cst: the xword CAS is the match linearization point; the label
+        // documents the release side of the snode.xword edge.
+        SSQ_MO_RELEASE_EDGE("snode.xword");
+        if (!h->xword.compare_exchange_strong(expected,
+                                              is_data ? e : claimed_token,
+                                              std::memory_order_seq_cst)) {
+          pop_head(h); // h is dead now (matched by another, or cancelled)
+          continue;
+        }
+        h->slot.signal();
+        SSQ_INTERLEAVE("ts.matched");
+        pop_head(h);
+        if (s) rec_.destroy(s); // built for a push that lost; never linked
+        return r;
+      }
+      // ------------------------------- empty or live same-mode top: wait
+      if (wk == wait_kind::now ||
+          (wk == wait_kind::timed && dl.expired_now())) {
+        if (s) rec_.destroy(s); // never linked: back through the policy
+        return empty_token;
+      }
+      if (s == nullptr) {
+        s = rec_.template create<snode>(e, mode);
+        if (wk == wait_kind::async) s->life.preset_released();
+      }
+      SSQ_MO_JUSTIFIED(
+          "relaxed: pre-publication store; the seq_cst head CAS below "
+          "releases the node");
+      s->next.store(h, SSQ_MO(relaxed));
+      SSQ_INTERLEAVE("ts.push");
+      if (!head_.value.compare_exchange_strong(h, s,
+                                               std::memory_order_seq_cst)) {
+        diag::bump(diag::id::cas_fail);
+        continue;
+      }
+      // Request linearizes at the push above.
+      if (wk == wait_kind::async) return e;
+
+      item_token x = await_fulfill(s, dl, tok);
+      if (x == s->self_token()) { // cancelled
+        SSQ_INTERLEAVE("ts.cancelled");
+        clean(s);
+        if (s->life.mark_released()) rec_retire(s);
+        return empty_token;
+      }
+      // Matched in place: the matcher (or a later visitor) pops s; leave.
+      if (s->life.mark_released()) rec_retire(s);
+      return is_data ? e : x;
     }
   }
 
@@ -309,8 +249,8 @@ class transfer_stack {
     SSQ_GUARDED_BY_HAZARD(rec_)
     std::atomic<snode *> next{nullptr};
     std::atomic<item_token> xword{empty_token}; // see file comment
-    item_token item;                            // immutable after creation
-    unsigned mode;                              // mutated only pre-publish
+    const item_token item;                      // immutable after creation
+    const unsigned mode; // one role for the node's whole life
     sync::park_slot slot;
     mem::life_cycle life;
 
@@ -319,9 +259,10 @@ class transfer_stack {
     item_token self_token() const noexcept {
       return reinterpret_cast<item_token>(this);
     }
-    bool is_cancelled() const noexcept {
+    // Matched or cancelled: garbage for any visitor to unlink.
+    bool is_dead() const noexcept {
       SSQ_MO_ACQUIRE_EDGE("snode.xword");
-      return xword.load(SSQ_MO(acquire)) == self_token();
+      return xword.load(SSQ_MO(acquire)) != empty_token;
     }
     bool cas_next(snode *expected, snode *desired) noexcept {
       return next.compare_exchange_strong(expected, desired,
@@ -369,146 +310,14 @@ class transfer_stack {
     }
   }
 
-  // The match linearization (JDK SNode::tryMatch). Returns true when m is
-  // matched to s (by us or by an earlier helper with the same pair).
-  // Precondition: caller holds a hazard on m that was published while m was
-  // provably live, and on s (or owns it).
-  //
-  // Completion is IDEMPOTENT by design: the match is two writes -- the
-  // winner's CAS on m->xword, then the report into s->xword -- and a
-  // different helper can observe the first while the winner is stalled
-  // before the second. Since callers pop the pair on `true`, every thread
-  // that recognizes the existing match must finish the s->xword write
-  // itself (the value is a pure function of the pair, so duplicate stores
-  // agree). Otherwise s's owner could find itself unlinked with xword
-  // still empty, misread that as "retracted from an empty stack", and
-  // restart -- delivering its item a second time (a real double-delivery
-  // the linearizability harness caught as a use-after-free of the
-  // value box under TSan).
-  bool try_match(snode *m, snode *s) noexcept {
-    // Value written into the waiter: a reservation receives the fulfiller's
-    // data token; a data node receives the fulfiller's address as a pure
-    // "claimed" marker.
-    const item_token v = (s->mode & data_mode)
-                             ? s->item
-                             : reinterpret_cast<item_token>(s);
-    const item_token back = (s->mode & data_mode)
-                                ? reinterpret_cast<item_token>(m)
-                                : m->item;
-    item_token expected = empty_token;
-    // seq_cst: the xword CAS is the match linearization point; the label
-    // documents the release side of the snode.xword edge.
-    SSQ_MO_RELEASE_EDGE("snode.xword");
-    if (m->xword.compare_exchange_strong(expected, v,
-                                         std::memory_order_seq_cst)) {
-      // Unique winner: report the counterpart into the fulfilling node,
-      // then wake the waiter. (Order matters: xword before any pop, so a
-      // frozen fulfilling node always implies its xword is set.)
-      SSQ_INTERLEAVE("ts.match.mid");
-      SSQ_MO_RELEASE_EDGE("snode.xword");
-      s->xword.store(back, std::memory_order_seq_cst);
-      m->slot.signal();
-      return true;
-    }
-    if (expected != v) return false; // m cancelled / claimed by another pair
-    // m is matched to this same s, but the winner may still be between its
-    // two stores: complete the fulfiller's side (and the wake) on its
-    // behalf before reporting the pair poppable.
-    if (s->xword.load(std::memory_order_seq_cst) == empty_token)
-      s->xword.store(back, std::memory_order_seq_cst);
-    m->slot.signal();
-    return true;
-  }
-
-  // Pop the fulfilling node `top` and its matched partner together.
-  // Freezes both victims' next pointers before the head CAS: stale
-  // splicers through them then fail, and the installed successor value is
-  // immutable (and provably live until the pop, since it could only become
-  // head through this very pop).
-  //
-  // The partner is NOT generally covered by a caller hazard (the
-  // helper-finished-our-match path reaches here with none), and a
-  // concurrent thread completing the same pop retires it -- so it must be
-  // protected before it is dereferenced. Validation: `head == top` read
-  // after publishing the hazard proves the partner was not yet retired at
-  // that point (retiring it requires first CASing `top` off the head,
-  // both seq_cst), and the freeze CAS in the same iteration pins the
-  // protected value against concurrent cancelled-partner splices. Nothing
-  // is ever pushed above a fulfilling node, so `head != top` can only mean
-  // the pop (or retraction) already completed elsewhere.
-  void pop_pair(snode *top) {
-    SSQ_INTERLEAVE("ts.pop_pair");
-    typename Reclaimer::slot hz(rec_);
-    snode *m;
-    for (;;) {
-      snode *raw = top->next.load(std::memory_order_seq_cst);
-      m = strip(raw);
-      hz.set(m);
-      if (head_.value.load(std::memory_order_seq_cst) != top)
-        return; // popped or retracted elsewhere; that thread retires
-      if (raw == nullptr) break; // terminal: nothing is inserted below
-      if (tagged(raw)) break;    // already frozen: value final, m protected
-      if (top->next.compare_exchange_strong(raw, with_tag(raw),
-                                            std::memory_order_seq_cst))
-        break;
-    }
-    snode *mn = m ? freeze_next(m) : nullptr;
-    snode *expected = top;
-    if (head_.value.compare_exchange_strong(expected, mn,
-                                            std::memory_order_seq_cst)) {
-      if (top->life.mark_unlinked()) rec_retire(top);
-      if (m && m->life.mark_unlinked()) rec_retire(m);
-    }
-  }
-
-  // Pop a (cancelled) head node.
+  // Pop the dead node h if it is still on top. Freezing h first makes this
+  // pop and any clean() splice of h mutually exclusive.
   void pop_head(snode *h) {
     snode *hn = freeze_next(h);
     snode *expected = h;
     if (head_.value.compare_exchange_strong(expected, hn,
                                             std::memory_order_seq_cst)) {
       if (h->life.mark_unlinked()) rec_retire(h);
-    }
-  }
-
-  // Bystander deferral: wait up to back_spins relaxes for head to move off
-  // someone else's fulfilling node h. A budget of 0 (park_only, a
-  // uniprocessor) or -1 (spin_only) means help at once.
-  bool head_moves_from(snode *h) const noexcept {
-    for (int i = 0; i < pol_.back_spins; ++i) {
-      SSQ_INTERLEAVE("ts.defer");
-      cpu_relax();
-      SSQ_MO_JUSTIFIED(
-          "acquire: comparison-only probe of head; h is never dereferenced "
-          "here and the retry re-protects head");
-      if (head_.value.load(SSQ_MO(acquire)) != h) return true;
-    }
-    return false;
-  }
-
-  // Help the fulfilling node h annihilate with its partner. Caller holds a
-  // hazard on h (it was protected as head); m is protected via hz_m, and its
-  // successor is only ever used as a frozen pointer value inside the pops.
-  void help(snode *h, typename Reclaimer::slot &hz_m) {
-    auto [m, h_dying] = read_next(h, hz_m);
-    if (h_dying || h->life.is_unlinked()) return; // pop already in flight
-    if (m == nullptr) {
-      snode *expected = h;
-      if (head_.value.compare_exchange_strong(expected, nullptr,
-                                              std::memory_order_seq_cst)) {
-        if (h->life.mark_unlinked()) rec_retire(h);
-      }
-      return;
-    }
-    if (try_match(m, h)) {
-      pop_pair(h);
-    } else {
-      // m is cancelled: freeze and splice it out on the fulfiller's behalf.
-      snode *mn = freeze_next(m);
-      if (h->cas_next(m, mn)) {
-        if (m->life.mark_unlinked()) rec_retire(m);
-        diag::bump(diag::id::clean_unlink);
-      }
     }
   }
 
@@ -520,10 +329,10 @@ class transfer_stack {
       return s->xword.load(SSQ_MO(acquire)) != empty_token;
     };
     auto at_front = [&] {
-      // Spin the long count when we are on top or covered by a fulfiller.
-      typename Reclaimer::slot hz(rec_);
-      snode *h = hz.protect(head_.value);
-      return h == s || (h != nullptr && (h->mode & fulfilling));
+      SSQ_MO_JUSTIFIED(
+          "acquire: comparison-only probe of head; the value is never "
+          "dereferenced, it only picks the spin budget");
+      return head_.value.load(SSQ_MO(acquire)) == s;
     };
     auto r = sync::spin_then_park(s->slot, done, at_front, pol_, dl, tok);
     if (r != sync::park_slot::wait_result::woken) {
@@ -536,7 +345,7 @@ class transfer_stack {
     return s->xword.load(SSQ_MO(acquire));
   }
 
-  // Unlink cancelled nodes at and around s (JDK SNode::clean, minus the
+  // Unlink dead nodes at and around s (JDK SNode::clean, minus the
   // `past` cancellation refinement, which would require dereferencing a
   // possibly-dead successor; the pointer is used for comparison only).
   void clean(snode *s) {
@@ -547,19 +356,19 @@ class transfer_stack {
     SSQ_MO_JUSTIFIED("acquire: value used for pointer comparison only");
     snode *past = strip(s->next.load(SSQ_MO(acquire))); // cmp-only
 
-    // Absorb cancelled prefix.
+    // Absorb dead prefix.
     snode *p;
     for (;;) {
       p = hz_p.protect(head_.value);
       if (p == nullptr || p == past) return;
-      if (!p->is_cancelled()) break;
+      if (!p->is_dead()) break;
       pop_head(p);
     }
-    // Unsplice interior cancelled nodes up to `past`.
+    // Unsplice interior dead nodes up to `past`.
     while (p != nullptr && p != past) {
       auto [n, p_dying] = read_next(p, hz_q);
       if (p_dying) return; // lost our anchor; head traffic finishes the job
-      if (n != nullptr && n->is_cancelled()) {
+      if (n != nullptr && n->is_dead()) {
         snode *nn = freeze_next(n);
         if (p->cas_next(n, nn)) {
           if (n->life.mark_unlinked()) rec_retire(n);

@@ -98,17 +98,6 @@ class life_cycle {
     bits_.store(released_bit, std::memory_order_relaxed);
   }
 
-  // Re-role a node that was built but never published (its push CAS lost)
-  // before pushing it again: the bits are fixed at each publication, since
-  // the node may now be pushed in a role with a different owner contract.
-  // `owner_released`: no owner will wait on it (as preset_released).
-  void reset_unpublished(bool owner_released) noexcept {
-    SSQ_MO_JUSTIFIED(
-        "relaxed: unpublished node (no concurrent reader); the publishing "
-        "CAS provides the release fence");
-    bits_.store(owner_released ? released_bit : 0, std::memory_order_relaxed);
-  }
-
   bool is_unlinked() const noexcept {
     SSQ_MO_JUSTIFIED(
         "acquire: pairs with mark_unlinked's release half so a reader that "

@@ -292,15 +292,14 @@ TEST(LinearizeCheck, CancellationStormUnfairCleanPaths) {
 }
 
 TEST(LinearizeCheck, UnfairHelperPopStress) {
-  // Regression lock on transfer_stack::pop_pair(): the matched partner
-  // beneath a fulfilling node must be hazard-protected before it is
-  // dereferenced. The helper-finished-our-match path used to reach
-  // pop_pair with no hazard covering the partner; a concurrent thread
-  // completing the same pop could retire-and-free it first
-  // (heap-use-after-free under TSan, found by the 30s schedule-fuzz
-  // torture run). Plain hp (eager frees) + spin_only (waiters stay on-CPU
-  // inside xfer, maximizing concurrent helping) recreate that shape; run
-  // under TSan/ASan this is the bounded version of the catcher.
+  // Stress for match-then-collapse over cancelled partners: matchers CAS a
+  // waiter's xword and pop it, while waiters cancel under them and every
+  // visitor that finds a dead node on top (matched or cancelled) pops it,
+  // so pops, lost match CASes and clean() splices race over the same
+  // nodes. Plain hp (eager frees) + spin_only (waiters stay on-CPU inside
+  // xfer, so dead nodes are collapsed by whoever arrives next) maximize the
+  // chance that a node is freed while another thread still reads it; run
+  // under TSan/ASan this catches a missing hazard or a double unlink.
   auto q = std::make_shared<
       synchronous_queue<std::uint64_t, false, mem::hp_reclaimer>>(
       sync::spin_policy::spin_only());

@@ -1,7 +1,7 @@
 // Targeted exercises of specific protocol paths that generic stress rarely
 // lands on deterministically: the clean_me deferral under concurrency, the
-// stack's fulfiller-retract path, helper completion of stalled
-// fulfillments, and the freeze protocol's observable effects.
+// stack's match-or-wait retry when its waiter cancels, matchers racing over
+// one stack of waiters, and the freeze protocol's observable effects.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -112,12 +112,12 @@ TEST(ProtocolQueue, AlternatingCancelAndFulfillAtHead) {
   EXPECT_EQ(got2.load(), 200);
 }
 
-// --------------------------------------------------------- stack: retract
+// ---------------------------------------------------- stack: match or wait
 
-TEST(ProtocolStack, FulfillerRetractsWhenWaiterCancels) {
-  // A fulfiller pushes its fulfilling node above a reservation that
-  // cancels at just that moment; with no other waiters beneath, the
-  // fulfiller must retract and then wait as an ordinary producer.
+TEST(ProtocolStack, MatcherWaitsWhenItsWaiterCancels) {
+  // A producer tries to match a reservation that cancels at just that
+  // moment; it must collapse the dead node and, with no other waiters
+  // beneath, wait as an ordinary producer.
   transfer_stack<> s;
   for (int round = 0; round < 10; ++round) {
     std::thread waiter([&] {
@@ -145,9 +145,9 @@ TEST(ProtocolStack, FulfillerRetractsWhenWaiterCancels) {
   c.join();
 }
 
-TEST(ProtocolStack, FulfillerSkipsCancelledStackOfWaiters) {
+TEST(ProtocolStack, MatcherCollapsesCancelledStackOfWaiters) {
   // A pile of cancelled reservations with one live one at the bottom: the
-  // fulfilling node must splice through all corpses and reach it.
+  // producer pops any corpse still on top and then matches the live one.
   transfer_stack<> s;
   std::atomic<int> got{-1};
   std::thread live([&] {
@@ -169,10 +169,10 @@ TEST(ProtocolStack, FulfillerSkipsCancelledStackOfWaiters) {
   EXPECT_LE(s.unsafe_length(), 5u);
 }
 
-TEST(ProtocolStack, ManyHelpersOneFulfillment) {
-  // A crowd of same-mode producers arrives while one fulfillment is in
-  // flight: they must all help complete it before making progress, and all
-  // eventually pair up.
+TEST(ProtocolStack, ManyMatchersOneStackOfWaiters) {
+  // A crowd of producers arrives at once over a stack of waiting
+  // consumers: they race for the top waiter, the losers collapse the dead
+  // node or retry, and all eventually pair up.
   transfer_stack<> s;
   const int n = 6;
   std::atomic<long> out{0};

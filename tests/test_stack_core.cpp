@@ -1,8 +1,8 @@
 // White-box tests for the synchronous dual stack core (transfer_stack):
-// annihilation protocol, helping, cancellation, LIFO service, reclamation.
+// match in place, dead-node collapse, cancellation, LIFO service,
+// reclamation.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <atomic>
 #include <cstring>
 #include <functional>
@@ -24,7 +24,7 @@ int val_of(item_token t) { return item_codec<int>::decode_consume(t); }
 // A pooled_hp_reclaimer whose slot::protect runs a one-shot callback right
 // after the protected read, on the thread that armed it only. xfer's first
 // protect is its head snapshot, so a test can change the stack between that
-// snapshot and the push CAS that depends on it -- deterministically.
+// snapshot and the push or match CAS that depends on it -- deterministically.
 thread_local std::function<void()> tl_after_protect;
 
 struct hooked_reclaimer : mem::pooled_hp_reclaimer {
@@ -85,8 +85,8 @@ TEST(TransferStack, SyncPairRendezvous) {
 }
 
 TEST(TransferStack, ReverseDirectionRendezvous) {
-  // Consumer first, producer fulfills: exercises the fulfilling-node path
-  // from the producer side.
+  // Consumer first, producer matches it in place: exercises the matching
+  // path from the producer side.
   transfer_stack<> s;
   std::atomic<int> got{-1};
   std::thread c([&] {
@@ -207,10 +207,10 @@ TEST(TransferStack, MixedModeStressConserves) {
   EXPECT_LE(s.unsafe_length(), 16u);
 }
 
-// The matched waiter leaves without popping (transfer_stack.hpp port note
-// 3), so this checks the pairs still come off the stack -- popped by their
-// fulfillers or by bystanders -- and every node is retired, not merely
-// freed by the destructor.
+// The matched waiter leaves without popping, so this checks the matched
+// nodes still come off the stack -- popped by their matchers or collapsed
+// by later visitors -- and every node is retired, not merely freed by the
+// destructor.
 TEST(TransferStack, NodesAreReclaimed) {
   diag::reset_all();
   mem::hazard_domain dom;
@@ -251,9 +251,9 @@ TEST(TransferStack, InterruptCancelsWaiter) {
 }
 
 TEST(TransferStack, HelpersCompleteStrandedFulfillment) {
-  // Many threads hammering a small stack force the helping path (third
-  // branch of transfer): if helping were broken this would livelock; the
-  // conservation check catches value corruption.
+  // Many threads hammering a small stack: lost match CASes, dead tops
+  // collapsed by whoever finds them, and pushes racing matches beneath
+  // them. The conservation check catches a lost or doubly delivered item.
   transfer_stack<> s;
   const int n = 4, per = 4000;
   std::atomic<long> in{0}, out{0};
@@ -290,15 +290,15 @@ TEST(TransferStack, DestructorDisposesBufferedData) {
 }
 
 // ------------------------------------------------------------------------
-// Node re-roling: xfer reuses a node whose push CAS lost, possibly in the
-// other role, so its lifecycle bits are fixed at each publication
-// (docs/memory_reclamation.md §3).
+// Stale snapshots: the put's head snapshot goes stale before its push or
+// match CAS. A node has one role for its whole life, so the retry takes the
+// other path with no lifecycle bits to fix up (docs/memory_reclamation.md
+// §3).
 
 // An async put snapshots an empty stack, a consumer's request lands before
-// the put's push CAS, and the put retries as a fulfiller with the node it
-// already built. The fulfilling push must not carry the async role's
-// owner-released bit, or the fulfiller's own release aborts on "double
-// owner release".
+// the put's push CAS, and the put retries by matching that request in place.
+// The node it built for the lost push was never linked and goes back
+// through the reclaimer without a retire.
 TEST(TransferStackReRole, AsyncPutThatLosesItsPushFulfilsCleanly) {
   diag::reset_all();
   mem::hazard_domain dom;
@@ -324,11 +324,10 @@ TEST(TransferStackReRole, AsyncPutThatLosesItsPushFulfilsCleanly) {
             diag::read(diag::id::node_free));
 }
 
-// A put snapshots a waiting request and builds a fulfilling node, another
-// producer satisfies that request before the put's push CAS, and the put
-// retries on the now-empty stack by pushing the same node async. That push
-// must carry the owner-released bit, or nobody retires the node once a
-// consumer pops it.
+// An async put snapshots a waiting request, another producer matches that
+// request before the put's match CAS, and the put finds that node dead and
+// retries on the now-empty stack by pushing async. Its node is built
+// owner-released, or nobody would retire it once a consumer claims it.
 TEST(TransferStackReRole, FulfillerNodeRepushedAsyncIsRetired) {
   diag::reset_all();
   mem::hazard_domain dom;
@@ -356,17 +355,57 @@ TEST(TransferStackReRole, FulfillerNodeRepushedAsyncIsRetired) {
 }
 
 // ------------------------------------------------------------------------
-// Who pops the pair: the fulfiller, or a bystander after a bounded wait --
-// never the matched waiter (transfer_stack.hpp port note 3).
+// Match in place: the matcher CASes the waiter's xword and pops it; a
+// matched (dead) node that is not popped is garbage for any later visitor.
+
+// Two consumers wait; a put snapshots the first one on top, then the second
+// pushes above it before the put's match CAS. The match lands on the buried
+// node, whose pop then fails. A second put serves the top consumer, and one
+// now-mode poll collapses the buried node once it surfaces.
+TEST(TransferStackMatchInPlace, MatchOnBuriedWaiterIsCollapsedWhenItSurfaces) {
+  diag::reset_all();
+  mem::hazard_domain dom;
+  {
+    hooked_reclaimer rec;
+    rec.dom = &dom;
+    transfer_stack<hooked_reclaimer> s(sync::spin_policy::adaptive(), rec);
+    std::atomic<item_token> got1{empty_token}, got2{empty_token};
+    std::thread c1(
+        [&] { got1.store(s.xfer(empty_token, false, wait_kind::sync)); });
+    while (s.unsafe_length() < 1) std::this_thread::yield();
+    std::thread c2;
+    tl_after_protect = [&] {
+      c2 = std::thread(
+          [&] { got2.store(s.xfer(empty_token, false, wait_kind::sync)); });
+      while (s.unsafe_length() < 2) std::this_thread::yield();
+    };
+    item_token t1 = tok_of(1);
+    EXPECT_EQ(s.xfer(t1, true, wait_kind::sync), t1);
+    c1.join();
+    EXPECT_EQ(val_of(got1.load()), 1) << "the snapshotted waiter was matched";
+    EXPECT_EQ(s.unsafe_length(), 2u); // c2 live above c1's dead node
+
+    item_token t2 = tok_of(2);
+    EXPECT_EQ(s.xfer(t2, true, wait_kind::sync), t2);
+    c2.join();
+    EXPECT_EQ(val_of(got2.load()), 2);
+    EXPECT_EQ(s.unsafe_length(), 1u); // the dead node is on top now
+
+    EXPECT_EQ(s.xfer(empty_token, false, wait_kind::now), empty_token);
+    EXPECT_EQ(s.unsafe_length(), 0u);
+    s.reclaimer().quiesce();
+    EXPECT_EQ(diag::read(diag::id::node_alloc),
+              diag::read(diag::id::node_free));
+  }
+}
 
 #if defined(SSQ_SCHEDULE_FUZZ)
 namespace {
 
 // Point hook: stall the thread that armed tl_stall_at at that label until
-// the test releases it, and count the calling thread's ts.defer points.
+// the test releases it.
 std::atomic<bool> g_stalled{false}, g_release{false};
 thread_local const char *tl_stall_at = nullptr;
-thread_local int tl_defers = 0;
 
 void stall_hook(const char *label) {
   if (tl_stall_at && std::strcmp(label, tl_stall_at) == 0) {
@@ -374,14 +413,15 @@ void stall_hook(const char *label) {
     g_stalled.store(true);
     while (!g_release.load()) std::this_thread::yield();
   }
-  if (std::strcmp(label, "ts.defer") == 0) ++tl_defers;
 }
 
-// The producer matches a waiting consumer and stops dead at ts.pop_pair.
-// The matched consumer returns without popping; a bystander that then
-// finds the fulfilling node on top defers for its back_spins budget and
-// completes the pop itself, while the fulfiller is still stalled.
-void bystander_pops_for_stalled_fulfiller(sync::spin_policy pol) {
+} // namespace
+
+// The producer matches a waiting consumer and stops dead at ts.matched,
+// before its pop. The matched consumer returns at once; a now-mode
+// bystander then finds the dead node on top, collapses it and reports no
+// partner, all while the matcher is still stalled.
+TEST(TransferStackMatchInPlace, BystanderCollapsesStalledMatchersDeadTop) {
   fuzz::config fc;
   fc.yield_permille = 0;
   fc.sleep_permille = 0;
@@ -389,50 +429,39 @@ void bystander_pops_for_stalled_fulfiller(sync::spin_policy pol) {
   fuzz::set_point_hook(&stall_hook);
   g_stalled.store(false);
   g_release.store(false);
+  diag::reset_all();
+  mem::hazard_domain dom;
   {
-    transfer_stack<> s(pol);
+    transfer_stack<> s(sync::spin_policy::adaptive(),
+                       mem::pooled_hp_reclaimer{&dom});
     std::atomic<item_token> got{empty_token};
     std::thread consumer(
         [&] { got.store(s.xfer(empty_token, false, wait_kind::sync)); });
     while (s.is_empty()) std::this_thread::yield();
-    std::thread fulfiller([&] {
-      tl_stall_at = "ts.pop_pair";
+    std::thread matcher([&] {
+      tl_stall_at = "ts.matched";
       s.xfer(tok_of(5), true, wait_kind::sync);
     });
     while (!g_stalled.load()) std::this_thread::yield();
     consumer.join();
     EXPECT_EQ(val_of(got.load()), 5);
-    EXPECT_EQ(s.unsafe_length(), 2u); // the matched pair is still on top
+    EXPECT_EQ(s.unsafe_length(), 1u); // the matched node is still on top
 
-    tl_defers = 0;
     EXPECT_EQ(s.xfer(empty_token, false, wait_kind::now), empty_token);
-    EXPECT_EQ(tl_defers, std::max(pol.back_spins, 0));
-    EXPECT_TRUE(s.is_empty()); // the bystander popped the pair
+    EXPECT_TRUE(s.is_empty()); // the bystander collapsed the dead top
 
     g_release.store(true);
-    fulfiller.join();
+    matcher.join();
     EXPECT_TRUE(s.is_empty());
+    s.reclaimer().quiesce();
+    EXPECT_EQ(diag::read(diag::id::node_alloc),
+              diag::read(diag::id::node_free));
   }
   fuzz::set_point_hook(nullptr);
   fuzz::disable();
 }
-
-} // namespace
-
-TEST(TransferStackHelping, BystanderCompletesStalledFulfillersPop) {
-  bystander_pops_for_stalled_fulfiller(sync::spin_policy::adaptive());
-}
-
-// park_only has a zero back_spins budget: the bystander helps at once.
-TEST(TransferStackHelping, ParkOnlyBystanderHelpsWithoutWaiting) {
-  bystander_pops_for_stalled_fulfiller(sync::spin_policy::park_only());
-}
 #else
-TEST(TransferStackHelping, BystanderCompletesStalledFulfillersPop) {
-  GTEST_SKIP() << "needs -DSSQ_SCHEDULE_FUZZ=ON (point hooks)";
-}
-
-TEST(TransferStackHelping, ParkOnlyBystanderHelpsWithoutWaiting) {
+TEST(TransferStackMatchInPlace, BystanderCollapsesStalledMatchersDeadTop) {
   GTEST_SKIP() << "needs -DSSQ_SCHEDULE_FUZZ=ON (point hooks)";
 }
 #endif

@@ -25,7 +25,7 @@
 //   -- are checked against the relaxed per-lane FIFO spec when fair.
 //   stack-core is the raw transfer_stack behind new-unfair, driven through
 //   its whole xfer surface: async puts mix with timed and now operations,
-//   so nodes change role between push attempts.)
+//   so lost pushes, in-place matches and dead-node collapse interleave.)
 //
 // --fuzz=1 turns on the schedule-perturbation points when the build compiled
 // them in (-DSSQ_SCHEDULE_FUZZ=ON); otherwise it warns and proceeds. The
