@@ -6,10 +6,12 @@
 // Structure: a singly linked list with head and tail pointers, derived from
 // the M&S queue. The list holds either data nodes or request (reservation)
 // nodes, never both: the queue is "empty" exactly when head == tail (only
-// the dummy remains). An arriving thread whose mode matches the tail's mode
-// appends and waits; one whose mode complements the head's fulfills the
-// oldest waiter with a single CAS of that waiter's item word -- strict FIFO
-// service, which is the fairness guarantee.
+// the dummy remains). An arriving thread looks at the front first (JDK
+// LinkedTransferQueue order): if the oldest waiter is of the complementary
+// mode it fulfills it with a single CAS of that waiter's item word -- strict
+// FIFO service, which is the fairness guarantee -- touching only the head,
+// the dummy and that waiter. Otherwise it appends behind the tail (re-checking
+// the tail's mode) and waits.
 //
 // Linearization points (paper §3.3):
 //   * same-mode path: the successful t->next CAS that links our node
@@ -121,12 +123,47 @@ class transfer_queue {
                "async mode is producers-only");
 
     qnode *s = nullptr; // the node we append, lazily created
-    typename Reclaimer::slot hz_t(rec_), hz_h(rec_), hz_m(rec_);
+    typename Reclaimer::slot hz_h(rec_), hz_m(rec_), hz_t(rec_);
 
     for (;;) {
-      qnode *t = hz_t.protect(tail_.value);
+      // Head first (JDK LinkedTransferQueue order): a fulfiller needs only
+      // head_, the dummy and the front waiter m -- never the tail node, and
+      // tail_ itself only in advance_head's one load.
       qnode *h = hz_h.protect(head_.value);
+      SSQ_MO_JUSTIFIED(
+          "acquire: initial snapshot; the seq_cst head/next re-reads below "
+          "validate it before any dereference of m");
+      qnode *mr = h->next.load(SSQ_MO(acquire));
+      qnode *m = strip(mr);
+      hz_m.set(m);
+      // Validate the snapshot: head unmoved and successor word unchanged
+      // (raw compare: a tag appearing means h began dying). Passing both
+      // proves m was live when the hazard was published.
+      if (h != head_.value.load(std::memory_order_seq_cst) ||
+          mr != h->next.load(std::memory_order_seq_cst))
+        continue;
 
+      if (m != nullptr && m->is_data != is_data) {
+        // ----------------------------------------- complementary: fulfill
+        item_token x = m->item.load(std::memory_order_seq_cst);
+        if (is_data == (x != empty_token) // m already fulfilled
+            || x == m->self_token()       // m cancelled
+            || !m->cas_item(x, e)) {      // lost the race to fulfill
+          advance_head(h, m);             // pop past the dead node and retry
+          continue;
+        }
+        // Fulfilled m: request + follow-up linearize at the cas_item.
+        SSQ_INTERLEAVE("tq.fulfilled");
+        advance_head(h, m);
+        SSQ_INTERLEAVE("tq.fulfill.presignal");
+        m->slot.wake();
+        if (s) rec_.destroy(s); // allocated earlier, never linked
+        return is_data ? e : x;
+      }
+
+      // Empty queue or a same-mode front: the append path, with the mode
+      // re-checked against the tail (the front may have changed since).
+      qnode *t = hz_t.protect(tail_.value);
       if (h == t || t->is_data == is_data) {
         // ------------------------------------------------ same-mode: wait
         SSQ_MO_JUSTIFIED(
@@ -156,7 +193,7 @@ class transfer_queue {
         advance_tail(t, s); // request linearizes at the cas_next above
         if (wk == wait_kind::async) return e;
 
-        item_token x = await_fulfill(s, e, dl, tok);
+        item_token x = await_fulfill(t, s, e, dl, tok);
         if (x == s->self_token()) { // we cancelled
           SSQ_INTERLEAVE("tq.cancelled");
           clean(t, s);
@@ -164,41 +201,13 @@ class transfer_queue {
           return empty_token;
         }
         // Fulfilled. Help dequeue ourselves: if still linked, swing head
-        // from our predecessor onto us (we become the dummy).
+        // from our predecessor onto us (we become the dummy). Usually the
+        // fulfiller already did, and advance_head returns after one load.
         if (!s->life.is_unlinked()) advance_head(t, s);
         if (s->life.mark_released()) retire_node(s);
         return is_data ? e : x;
-      } else {
-        // ----------------------------------------- complementary: fulfill
-        SSQ_MO_JUSTIFIED(
-            "acquire: initial snapshot; the seq_cst head/next re-reads below "
-            "validate it before any dereference of m");
-        qnode *mr = h->next.load(SSQ_MO(acquire));
-        qnode *m = strip(mr);
-        hz_m.set(m);
-        // Validate the snapshot: head unmoved and successor word unchanged
-        // (raw compare: a tag appearing means h began dying). Passing both
-        // proves m was live when the hazard was published.
-        if (t != tail_.value.load(std::memory_order_seq_cst) ||
-            m == nullptr || h != head_.value.load(std::memory_order_seq_cst) ||
-            mr != h->next.load(std::memory_order_seq_cst))
-          continue;
-
-        item_token x = m->item.load(std::memory_order_seq_cst);
-        if (is_data == (x != empty_token) // m already fulfilled
-            || x == m->self_token()       // m cancelled
-            || !m->cas_item(x, e)) {      // lost the race to fulfill
-          advance_head(h, m);             // pop past the dead node and retry
-          continue;
-        }
-        // Fulfilled m: request + follow-up linearize at the cas_item.
-        SSQ_INTERLEAVE("tq.fulfilled");
-        advance_head(h, m);
-        SSQ_INTERLEAVE("tq.fulfill.presignal");
-        m->slot.signal();
-        if (s) rec_.destroy(s); // allocated earlier, never linked
-        return is_data ? e : x;
       }
+      // The tail holds the other mode: the queue changed under us; retry.
     }
   }
 
@@ -228,6 +237,20 @@ class transfer_queue {
          p = strip(p->next.load(SSQ_MO(acquire))))
       ++n;
     return n;
+  }
+
+  // True when tail_ points at the dummy or at a node linked after it --
+  // never at a popped node. Racy; single-threaded use only.
+  // ssq-lint: suppress(hazard-coverage) -- racy observer by contract (the
+  // `unsafe_` prefix is the documentation); callers must quiesce first.
+  bool unsafe_tail_reachable() const noexcept {
+    SSQ_MO_JUSTIFIED("acquire: racy traversal, documented unsafe");
+    qnode *t = tail_.value.load(SSQ_MO(acquire));
+    SSQ_MO_JUSTIFIED("acquire: racy traversal, documented unsafe");
+    for (qnode *p = head_.value.load(SSQ_MO(acquire)); p;
+         p = strip(p->next.load(SSQ_MO(acquire))))
+      if (p == t) return true;
+    return false;
   }
 
   // True when the next waiting node (if any) is a data node. Racy.
@@ -347,18 +370,22 @@ class transfer_queue {
 
   // Wait until our item word changes (fulfilled) or patience runs out, in
   // which case cancel by CASing in our self-token. Returns the final item
-  // value: self-token means cancelled.
-  item_token await_fulfill(qnode *s, item_token e, deadline dl,
+  // value: self-token means cancelled. `pred` is the node s was linked
+  // behind.
+  item_token await_fulfill(qnode *pred, qnode *s, item_token e, deadline dl,
                            sync::interrupt_token *tok) {
     auto done = [&] {
       SSQ_MO_ACQUIRE_EDGE("qnode.item");
       return s->item.load(SSQ_MO(acquire)) != e;
     };
+    // s is at the front while its predecessor is the dummy. If pred was
+    // spliced out the probe reads false and s spins the back budget: a
+    // cost, never a correctness issue.
     auto at_front = [&] {
-      typename Reclaimer::slot hz(rec_);
-      qnode *h = hz.protect(head_.value);
-      SSQ_MO_JUSTIFIED("acquire: comparison-only spin heuristic read");
-      return strip(h->next.load(SSQ_MO(acquire))) == s;
+      SSQ_MO_JUSTIFIED(
+          "acquire: comparison-only probe of head; the value is never "
+          "dereferenced, it only picks the spin budget");
+      return head_.value.load(SSQ_MO(acquire)) == pred;
     };
     auto r = sync::spin_then_park(s->slot, done, at_front, pol_, dl, tok);
     if (r != sync::park_slot::wait_result::woken) {
@@ -384,10 +411,22 @@ class transfer_queue {
   // node. An aborted pop leaves a frozen live dummy, which is benign: reads
   // strip the tag, splices through it fail (they would be unsafe anyway),
   // and the next correctly-validated advance_head pops it.
+  //
+  // Compare before writing (JDK advanceHead): if h is no longer the head
+  // there is nothing to pop, and the common caller -- a fulfilled waiter
+  // whose fulfiller already popped for it -- pays one load, not a freeze
+  // and a failing CAS on the hottest line.
+  //
+  // Fulfillers never read the tail, so the pop itself keeps tail_ off the
+  // popped node: a tail still at h (its appender has linked nh but not yet
+  // swung the tail) is swung to nh first. The tail only moves forward, so
+  // a tail that is not h at this check never becomes h again.
   void advance_head(qnode *h, qnode *expected_next) {
     SSQ_INTERLEAVE("tq.pop");
+    if (head_.value.load(std::memory_order_seq_cst) != h) return;
     qnode *nh = freeze_next(h);
     if (nh == nullptr || nh != expected_next) return;
+    if (tail_.value.load(std::memory_order_seq_cst) == h) advance_tail(h, nh);
     qnode *expected = h;
     if (head_.value.compare_exchange_strong(expected, nh,
                                             std::memory_order_seq_cst)) {
@@ -433,14 +472,18 @@ class transfer_queue {
     typename Reclaimer::slot hz_h(rec_), hz_x(rec_), hz_t(rec_), hz_d(rec_),
         hz_e(rec_);
 
-    // Loop until s is out of the queue. Each iteration makes progress by
-    // popping a cancelled head, splicing s, or finishing a deferred splice;
-    // with a dead (frozen) predecessor the splice can never succeed, and
-    // the owner keeps shedding cancelled heads until the march of the head
-    // pointer removes s itself -- the JDK loop's behaviour, which the
-    // cancellation-storm workloads depend on for bounded garbage.
+    // Loop while s still hangs off a live pred. Each iteration makes
+    // progress by popping a cancelled head, splicing s, or finishing a
+    // deferred splice. The raw compare ends the loop on a frozen (tagged)
+    // pred->next too: pred was popped, spliced out, or is a head whose pop
+    // aborted, and no splice through it can ever succeed, so s is left to
+    // the head-anchored scavenge in clean() and to fulfillers, which pop
+    // cancelled fronts. Waiting for the head to march past s instead can
+    // wait forever: with only live async data ahead of s and no other
+    // thread left, nothing moves the head. (The JDK loop does not wait
+    // either: its splice through a dead pred returns at once.)
     while (!s->life.is_unlinked() &&
-           strip(pred->next.load(std::memory_order_seq_cst)) == s) {
+           pred->next.load(std::memory_order_seq_cst) == s) {
       qnode *h = hz_h.protect(head_.value);
       SSQ_MO_JUSTIFIED(
           "acquire: snapshot; the seq_cst head/next re-reads below validate "
@@ -476,8 +519,8 @@ class transfer_queue {
         // becomes immutable), then unlink through pred -- the CAS expects
         // an untagged value, so it cannot succeed through a pred that has
         // itself begun dying (whose own next is tagged). On failure, fall
-        // through to the deferred-cleaning block and loop (JDK behaviour):
-        // the next iterations shed cancelled heads until s is gone.
+        // through to the deferred-cleaning block and loop; the loop test
+        // ends the clean if pred has begun dying.
         SSQ_INTERLEAVE("tq.clean.splice");
         qnode *sn = freeze_next(s);
         if (sn != nullptr && pred->cas_next(s, sn)) {

@@ -6,11 +6,12 @@
 // Treiber stack. It holds either data or reservations, never both: a node is
 // pushed only onto an empty stack or a live node of its own mode, and node
 // modes never change. A complementary arrival matches the top waiter in
-// place -- one CAS on the waiter's `xword` -- signals it, and pops it with
-// one head CAS; it never pushes a node of its own. A node whose xword is set
-// (matched or cancelled) is *dead*: whoever finds it on top pops it and
-// retries. The paper's fulfilling-node protocol (Listing 6) is kept verbatim
-// in dual_stack_basic.hpp; docs/algorithms.md §3 explains the difference.
+// place -- one CAS on the waiter's `xword` -- wakes it if it parked, and
+// pops it with one head CAS; it never pushes a node of its own. A node
+// whose xword is set (matched or cancelled) is *dead*: whoever finds it on
+// top pops it and retries. The paper's fulfilling-node protocol (Listing 6)
+// is kept verbatim in dual_stack_basic.hpp; docs/algorithms.md §3 explains
+// the difference.
 //
 // Linearization points:
 //   * waiting path: the head CAS that pushes our node (request), and the
@@ -138,7 +139,7 @@ class transfer_stack {
           pop_head(h); // h is dead now (matched by another, or cancelled)
           continue;
         }
-        h->slot.signal();
+        h->slot.wake();
         SSQ_INTERLEAVE("ts.matched");
         pop_head(h);
         if (s) rec_.destroy(s); // built for a push that lost; never linked

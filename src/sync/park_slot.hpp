@@ -19,6 +19,9 @@
 // prepare() publishes intent with sequentially consistent ordering; signal()
 // observes either the intent (and wakes the futex) or finds the slot idle, in
 // which case the waiter's post-prepare re-check is guaranteed to observe W.
+// signal() also leaves a permit on an idle slot (was_signalled() sees it);
+// wake() is the cheaper variant for spin_then_park() waiters that need no
+// permit: it writes the slot only when it finds the waiter armed.
 //
 // Episode hygiene (found by the linearizability harness's audit of node
 // recycling): the state word carries an episode GENERATION in its upper
@@ -39,7 +42,9 @@
 // Memory-order discipline (docs/memory_model.md): prepare()'s arming CAS
 // and signal()'s initial read + CAS form a store-load Dekker (the missed-
 // wakeup argument above) and stay seq_cst, as do disarm() and reset()
-// (episode boundaries raced by straggler signals). What relaxes is the
+// (episode boundaries raced by straggler signals). wake()'s load is seq_cst
+// too: it is the fulfiller's half of a second Dekker, whose waiter half is
+// the seq_cst fence spin_then_park() runs after prepare(). What relaxes is the
 // waiter/observer side, paired as the labeled edge `park.signal`: the
 // signal CAS is the release end; wait()'s post-futex re-read and
 // was_signalled() acquire it. Diagnostic observers read relaxed. Weakened
@@ -159,6 +164,20 @@ class park_slot {
     }
   }
 
+  // signal() without the permit: wake the waiter only if it has armed the
+  // slot. A waiter that is still spinning (phase idle) is left untouched --
+  // it sees the waited-for condition on its next probe -- so the common
+  // handoff costs the fulfiller one load of this word instead of a CAS.
+  // Only for waiters that wait through spin_then_park(), whose seq_cst
+  // fence between prepare() and the post-prepare re-check pairs with this
+  // seq_cst load: either the load sees `armed`, or the re-check sees the
+  // condition the caller made true before calling wake(). Waiters that
+  // test was_signalled() need signal().
+  void wake() noexcept {
+    SSQ_INTERLEAVE("park.wake");
+    if (phase_of(state_.load(std::memory_order_seq_cst)) == armed) signal();
+  }
+
   // Owner: retract a prepare() whose wait was abandoned (condition flipped
   // after arming, or wait returned timeout/interrupt). Leaves a concurrent
   // signal() intact: returns true iff a signal won the race, so the slot
@@ -241,6 +260,10 @@ park_slot::wait_result spin_then_park(park_slot &slot, DonePred done,
   for (;;) {
     if (done()) return park_slot::wait_result::woken;
     slot.prepare();
+    // The waiter's half of the wake() Dekker (store-load): orders the
+    // arming CAS before the re-check's condition load, which `done` may do
+    // with acquire only.
+    std::atomic_thread_fence(std::memory_order_seq_cst);
     SSQ_INTERLEAVE("park.post_prepare");
     if (done()) {
       slot.disarm(); // hygiene: do not exit an episode armed

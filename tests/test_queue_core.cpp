@@ -4,10 +4,17 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
+#include <functional>
 #include <thread>
 #include <vector>
 
+#include "check/schedule_fuzz.hpp"
 #include "core/transfer_queue.hpp"
+#include "hooked_reclaimer.hpp"
 #include "support/diagnostics.hpp"
 
 using namespace ssq;
@@ -16,6 +23,26 @@ namespace {
 
 item_token tok_of(int v) { return item_codec<int>::encode(v); }
 int val_of(item_token t) { return item_codec<int>::decode_consume(t); }
+
+// Watchdog for tests whose failure mode is a hang: wait up to `limit` for
+// `done`, and if it never comes, dump the queue and end the process so the
+// run fails at once instead of stalling until the ctest timeout.
+template <typename Queue>
+void await_or_die(const std::atomic<bool> &done, const Queue &q,
+                  const char *what,
+                  std::chrono::seconds limit = std::chrono::seconds(20)) {
+  const auto until = std::chrono::steady_clock::now() + limit;
+  while (!done.load()) {
+    if (std::chrono::steady_clock::now() > until) {
+      std::fprintf(stderr, "FATAL: %s did not finish within %llds\n", what,
+                   static_cast<long long>(limit.count()));
+      q.debug_dump(stderr);
+      std::fflush(stderr);
+      std::_Exit(1);
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+}
 
 } // namespace
 
@@ -169,25 +196,101 @@ TEST(TransferQueue, MixedModeStressConserves) {
   EXPECT_LE(q.unsafe_length(), 16u);
 }
 
+// 1 producer : 3 consumers, the fanout shape: the fulfiller pops for the
+// waiter it served, so every handed-off node must come off the queue and
+// be retired while the queue is alive, not merely freed by the destructor.
 TEST(TransferQueue, NodesAreReclaimed) {
   diag::reset_all();
   {
     mem::hazard_domain dom;
     transfer_queue<> q(sync::spin_policy::adaptive(),
                        mem::pooled_hp_reclaimer{&dom});
-    std::thread p([&] {
-      for (int i = 0; i < 2000; ++i) q.xfer(tok_of(i), true, wait_kind::sync);
+    const int nc = 3, per = 2000;
+    std::vector<std::thread> ts;
+    ts.emplace_back([&] {
+      for (int i = 0; i < nc * per; ++i)
+        q.xfer(tok_of(i), true, wait_kind::sync);
     });
-    for (int i = 0; i < 2000; ++i)
-      (void)val_of(q.xfer(empty_token, false, wait_kind::sync));
-    p.join();
-    dom.drain();
-    // Everything retired must eventually be freed (destructor covers the
-    // remainder; canary poisoning is exercised by ASan CI builds).
+    for (int c = 0; c < nc; ++c)
+      ts.emplace_back([&] {
+        for (int i = 0; i < per; ++i)
+          (void)val_of(q.xfer(empty_token, false, wait_kind::sync));
+      });
+    for (auto &t : ts) t.join();
+    EXPECT_EQ(q.unsafe_length(), 0u);
+    EXPECT_TRUE(q.unsafe_tail_reachable());
+    q.reclaimer().quiesce();
+    // Everything but the live dummy has been retired.
+    EXPECT_EQ(diag::read(diag::id::node_alloc),
+              diag::read(diag::id::node_free) + 1);
   }
-  auto alloc = diag::read(diag::id::node_alloc);
-  auto freed = diag::read(diag::id::node_free);
-  EXPECT_EQ(alloc, freed) << "allocated nodes must all be freed or retired";
+  EXPECT_EQ(diag::read(diag::id::node_alloc),
+            diag::read(diag::id::node_free));
+}
+
+// Regression (livelock): clean(pred, s) used to loop until pred->next
+// stopped naming s. A popped pred keeps naming s forever (its next is
+// frozen), and with a clean_me_ registration whose cancelled successor is
+// the tail, every pass deferred without progress; only the head marching
+// past s could end it. Shape: s is cancelled and its owner stalls before
+// clean(); a now-poll pops s's predecessor (s becomes the dummy); async put
+// A goes in behind s; timed put B cancels as the tail and registers A in
+// clean_me_. With nothing else running, s's clean must still return.
+TEST(TransferQueueClean, DeadPredecessorDoesNotWedgeClean) {
+  using test::hooked_reclaimer;
+  using test::tl_after_protect;
+  diag::reset_all();
+  {
+    transfer_queue<hooked_reclaimer> q(sync::spin_policy::adaptive(),
+                                       hooked_reclaimer{});
+    sync::interrupt_token itok;
+    std::atomic<bool> stalled{false}, release{false}, done{false};
+    std::atomic<item_token> got{tok_of(99)};
+    std::thread owner([&] {
+      // Re-arm on every protect until the interrupt has landed; the first
+      // protect after it is clean()'s head snapshot, after the cancel.
+      std::function<void()> stall_after_cancel;
+      stall_after_cancel = [&] {
+        if (!itok.interrupted()) {
+          tl_after_protect = stall_after_cancel;
+          return;
+        }
+        stalled.store(true);
+        while (!release.load()) std::this_thread::yield();
+      };
+      tl_after_protect = stall_after_cancel;
+      got.store(q.xfer(tok_of(1), true, wait_kind::timed,
+                       deadline::unbounded(), &itok));
+      tl_after_protect = nullptr;
+      done.store(true);
+    });
+    // Interrupt only once the owner has parked: past every protect of its
+    // xfer before the cancel.
+    while (diag::read(diag::id::park) == 0) std::this_thread::yield();
+    itok.interrupt();
+    while (!stalled.load()) std::this_thread::yield();
+
+    EXPECT_EQ(q.xfer(empty_token, false, wait_kind::now), empty_token);
+    EXPECT_EQ(q.unsafe_length(), 0u); // s is the dummy now
+    q.xfer(tok_of(2), true, wait_kind::async); // A
+    EXPECT_EQ(q.xfer(tok_of(3), true, wait_kind::timed, // B
+                     deadline::in(std::chrono::milliseconds(1))),
+              empty_token);
+    EXPECT_EQ(q.unsafe_length(), 2u); // A, then cancelled B as the tail
+
+    release.store(true);
+    await_or_die(done, q, "clean() behind a popped predecessor");
+    owner.join();
+    EXPECT_EQ(got.load(), empty_token);
+
+    EXPECT_EQ(val_of(q.xfer(empty_token, false, wait_kind::now)), 2);
+    EXPECT_EQ(q.xfer(empty_token, false, wait_kind::now), empty_token);
+    EXPECT_EQ(q.unsafe_length(), 0u);
+    EXPECT_TRUE(q.unsafe_tail_reachable());
+    q.reclaimer().quiesce();
+  }
+  EXPECT_EQ(diag::read(diag::id::node_alloc),
+            diag::read(diag::id::node_free));
 }
 
 TEST(TransferQueue, InterruptCancelsWaiter) {
@@ -242,3 +345,59 @@ TEST(TransferQueue, FifoAcrossManyAsyncProducers) {
     last[p] = v % per;
   }
 }
+
+#if defined(SSQ_SCHEDULE_FUZZ)
+namespace {
+
+// Point hook: stall the thread that armed tl_stall_at at that label until
+// the test releases it.
+std::atomic<bool> g_stalled{false}, g_release{false};
+thread_local const char *tl_stall_at = nullptr;
+
+void stall_hook(const char *label) {
+  if (tl_stall_at && std::strcmp(label, tl_stall_at) == 0) {
+    tl_stall_at = nullptr;
+    g_stalled.store(true);
+    while (!g_release.load()) std::this_thread::yield();
+  }
+}
+
+} // namespace
+
+// Fulfillers never read the tail, so the pop must keep tail_ off the node
+// it pops. The appender stalls at tq.linked -- its node is linked but the
+// tail still names the dummy -- and a now-poll fulfils that node and pops
+// the dummy. The tail must have moved with it.
+TEST(TransferQueue, TailNeverLeftBehindHead) {
+  fuzz::config fc;
+  fc.yield_permille = 0;
+  fc.sleep_permille = 0;
+  fuzz::enable(fc);
+  fuzz::set_point_hook(&stall_hook);
+  g_stalled.store(false);
+  g_release.store(false);
+  {
+    transfer_queue<> q;
+    std::thread appender([&] {
+      tl_stall_at = "tq.linked";
+      q.xfer(tok_of(7), true, wait_kind::async);
+    });
+    while (!g_stalled.load()) std::this_thread::yield();
+    EXPECT_EQ(q.unsafe_length(), 1u);
+    EXPECT_EQ(val_of(q.xfer(empty_token, false, wait_kind::now)), 7);
+    EXPECT_TRUE(q.unsafe_tail_reachable()) << "tail_ names a popped node";
+    g_release.store(true);
+    appender.join();
+    EXPECT_TRUE(q.is_empty());
+    EXPECT_TRUE(q.unsafe_tail_reachable());
+    q.xfer(tok_of(8), true, wait_kind::async);
+    EXPECT_EQ(val_of(q.xfer(empty_token, false, wait_kind::now)), 8);
+  }
+  fuzz::set_point_hook(nullptr);
+  fuzz::disable();
+}
+#else
+TEST(TransferQueue, TailNeverLeftBehindHead) {
+  GTEST_SKIP() << "needs -DSSQ_SCHEDULE_FUZZ=ON (point hooks)";
+}
+#endif

@@ -5,13 +5,12 @@
 
 #include <atomic>
 #include <cstring>
-#include <functional>
 #include <thread>
-#include <utility>
 #include <vector>
 
 #include "check/schedule_fuzz.hpp"
 #include "core/transfer_stack.hpp"
+#include "hooked_reclaimer.hpp"
 #include "support/diagnostics.hpp"
 
 using namespace ssq;
@@ -21,32 +20,8 @@ namespace {
 item_token tok_of(int v) { return item_codec<int>::encode(v); }
 int val_of(item_token t) { return item_codec<int>::decode_consume(t); }
 
-// A pooled_hp_reclaimer whose slot::protect runs a one-shot callback right
-// after the protected read, on the thread that armed it only. xfer's first
-// protect is its head snapshot, so a test can change the stack between that
-// snapshot and the push or match CAS that depends on it -- deterministically.
-thread_local std::function<void()> tl_after_protect;
-
-struct hooked_reclaimer : mem::pooled_hp_reclaimer {
-  class slot {
-   public:
-    explicit slot(hooked_reclaimer &r) noexcept : inner_(r) {}
-    template <typename T>
-    T *protect(const std::atomic<T *> &src) {
-      T *p = inner_.protect(src);
-      if (tl_after_protect) std::exchange(tl_after_protect, nullptr)();
-      return p;
-    }
-    template <typename T>
-    void set(T *p) noexcept {
-      inner_.set(p);
-    }
-    void clear() noexcept { inner_.clear(); }
-
-   private:
-    mem::pooled_hp_reclaimer::slot inner_;
-  };
-};
+using test::hooked_reclaimer;
+using test::tl_after_protect;
 
 } // namespace
 

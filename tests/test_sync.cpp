@@ -166,6 +166,71 @@ TEST(ParkSlot, ParkOnlyPolicyParksPromptly) {
   EXPECT_GE(diag::read(diag::id::park), 1u);
 }
 
+// wake() is signal() without the permit: on a slot nobody armed it writes
+// nothing, so a later prepare() + wait() still blocks.
+TEST(ParkSlot, WakeOnIdleSlotLeavesItIdle) {
+  park_slot s;
+  s.wake();
+  EXPECT_FALSE(s.was_signalled());
+  EXPECT_FALSE(s.is_armed());
+  s.prepare();
+  EXPECT_EQ(s.wait(deadline::in(std::chrono::milliseconds(20))),
+            park_slot::wait_result::timeout);
+  s.disarm();
+}
+
+TEST(ParkSlot, WakeReleasesArmedWaiter) {
+  park_slot s;
+  std::atomic<bool> cond{false};
+  std::thread waiter([&] {
+    for (;;) { // guarded wait
+      if (cond.load()) break;
+      s.prepare();
+      if (cond.load()) break;
+      s.wait(deadline::in(std::chrono::seconds(10))); // bounded: no hang
+    }
+  });
+  while (!s.is_armed()) std::this_thread::yield();
+  cond.store(true);
+  s.wake();
+  waiter.join();
+  EXPECT_TRUE(s.was_signalled());
+}
+
+// Two threads hand a turn counter back and forth, each waiting through
+// spin_then_park() under park_only (every wait goes straight to prepare,
+// the fence and the re-check) and each woken only by wake(). A wake lost
+// between a prepare() and the wait would park a thread until its 10 s
+// deadline; the test counts those instead of hanging.
+TEST(ParkSlot, WakeNeverMissesAParkedWaiter) {
+  constexpr int rounds = 100000;
+  park_slot slot[2];
+  std::atomic<int> turn{0};
+  std::atomic<int> missed{0};
+  auto player = [&](int me) {
+    for (int r = 0; r < rounds; ++r) {
+      const int mine = 2 * r + me;
+      slot[me].reset();
+      auto res = spin_then_park(
+          slot[me],
+          [&] { return turn.load(std::memory_order_acquire) == mine; },
+          [] { return true; }, spin_policy::park_only(),
+          deadline::in(std::chrono::seconds(10)));
+      if (res != park_slot::wait_result::woken) {
+        missed.fetch_add(1);
+        return;
+      }
+      turn.store(mine + 1, std::memory_order_seq_cst);
+      slot[1 - me].wake();
+    }
+  };
+  std::thread a(player, 0), b(player, 1);
+  a.join();
+  b.join();
+  EXPECT_EQ(missed.load(), 0);
+  EXPECT_EQ(turn.load(), 2 * rounds);
+}
+
 // ---------------------------------------------------------------- policy
 
 TEST(SpinPolicy, AdaptiveMatchesPaperOnUniprocessor) {
