@@ -17,6 +17,7 @@
 
 #include <cstdio>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "baselines/hanson_sq.hpp"
@@ -26,6 +27,7 @@
 #include "harness/runner.hpp"
 #include "harness/stats.hpp"
 #include "harness/table.hpp"
+#include "sync/spin_policy.hpp"
 
 namespace ssq::bench {
 
@@ -92,11 +94,32 @@ inline void emit(const harness::table &t, const std::string &csv_path,
     std::printf("(csv written to %s)\n", csv_path.c_str());
 }
 
+inline std::string compiler_id() {
+#if defined(__clang__)
+  return std::string("clang ") + __clang_version__;
+#elif defined(__GNUC__)
+  return std::string("gcc ") + __VERSION__;
+#else
+  return "unknown";
+#endif
+}
+
+// The library's default spin policy on this host, with its units (the
+// budgets were iteration counts before they became microseconds).
+inline std::string spin_policy_meta() {
+  const auto pol = sync::spin_policy::adaptive();
+  return "adaptive front_spins=" + std::to_string(pol.front_spins) +
+         "us back_spins=" + std::to_string(pol.back_spins) +
+         "us yield_every=" + std::to_string(pol.yield_every);
+}
+
 // Full-config form: CSV plus the optional --json series. The JSON header
 // records provenance: which memory-order mode the binary was compiled in
-// (annotations.hpp's SSQ_MO switch) and the source revision, so committed
-// BENCH_*.json snapshots are self-describing and bench_compare.py can
-// refuse to diff two runs of the same mode as if they were a differential.
+// (annotations.hpp's SSQ_MO switch), the source revision, and the host and
+// build it ran on (CPU count, compiler, build type, spin policy), so
+// committed BENCH_*.json snapshots are self-describing and bench_compare.py
+// can refuse to diff two runs of the same mode as if they were a
+// differential.
 inline void emit(harness::table &t, const sweep_config &cfg,
                  const char *title) {
   emit(t, cfg.csv, title);
@@ -107,6 +130,15 @@ inline void emit(harness::table &t, const sweep_config &cfg,
 #else
     t.set_meta("git_rev", "unknown");
 #endif
+    t.set_meta("hardware_concurrency",
+               std::to_string(std::thread::hardware_concurrency()));
+    t.set_meta("compiler", compiler_id());
+#if defined(SSQ_BUILD_TYPE)
+    t.set_meta("build_type", SSQ_BUILD_TYPE);
+#else
+    t.set_meta("build_type", "unknown");
+#endif
+    t.set_meta("spin_policy", spin_policy_meta());
     if (t.write_json(cfg.json))
       std::printf("(json written to %s)\n", cfg.json.c_str());
   }

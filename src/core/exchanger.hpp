@@ -16,6 +16,7 @@
 
 #include <array>
 #include <atomic>
+#include <chrono>
 #include <cstddef>
 #include <optional>
 #include <utility>
@@ -33,6 +34,7 @@ template <typename T, std::size_t ArenaSize = 32>
 class exchanger {
   static_assert(ArenaSize >= 1);
   using codec = item_codec<T>;
+  static constexpr auto off_home_patience = std::chrono::milliseconds(1);
 
   struct xnode {
     item_token mine;                          // my offering (immutable)
@@ -81,7 +83,17 @@ class exchanger {
           bo.pause();
           continue;
         }
-        if (wait_for_partner(self, dl, tok)) return take(self);
+        // Off slot 0 a waiter waits only briefly. Its partner may be
+        // waiting in another slot, and two waiters in different slots
+        // would wait for each other forever. So it withdraws and retries
+        // from slot 0 (the JDK Exchanger shrinks its arena the same way).
+        const bool off_home = idx != 0;
+        deadline wdl = dl;
+        if (off_home) {
+          const deadline brief = deadline::in(off_home_patience);
+          if (brief.when() < dl.when()) wdl = brief;
+        }
+        if (wait_for_partner(self, wdl, tok)) return take(self);
         // Timed out / interrupted: withdraw. If the withdrawal CAS fails, a
         // partner is mid-claim and will complete imminently.
         xnode *expected = &self;
@@ -89,6 +101,11 @@ class exchanger {
                                           std::memory_order_seq_cst)) {
           settle_and_wait(self);
           return take(self);
+        }
+        if (off_home && !(tok && tok->interrupted()) && !dl.expired_now()) {
+          self.slot.reset(); // nobody saw self: no straggler signal
+          bound = 1;
+          continue;
         }
         codec::dispose(self.mine);
         return std::nullopt;

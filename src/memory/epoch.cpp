@@ -37,7 +37,26 @@ constexpr std::uint64_t collect_period = 64;
 struct epoch_domain::orphan_list {
   std::mutex mu;
   std::vector<retired_node> nodes; // already >= 3 epochs stale when adopted
+  std::atomic<std::size_t> count{0}; // nodes.size(), stored under mu
+
+  // Caller holds mu.
+  void recount() noexcept {
+    SSQ_MO_JUSTIFIED("relaxed: monitoring count, written under mu, read "
+                     "racily by approx_retired()");
+    count.store(nodes.size(), std::memory_order_relaxed);
+  }
 };
+
+namespace {
+// Owner: publish the record's limbo size for approx_retired().
+void publish_pending(epoch_domain::record *rec) noexcept {
+  SSQ_MO_JUSTIFIED("relaxed: single-writer monitoring count; readers sum "
+                   "it approximately and never order on it");
+  rec->pending.store(rec->limbo[0].size() + rec->limbo[1].size() +
+                         rec->limbo[2].size(),
+                     std::memory_order_relaxed);
+}
+} // namespace
 
 struct epoch_domain::tl_cache {
   struct entry {
@@ -155,7 +174,9 @@ void epoch_domain::release_record(record *rec) {
     std::lock_guard<std::mutex> lk(orphans_->mu);
     orphans_->nodes.insert(orphans_->nodes.end(), leftovers.begin(),
                            leftovers.end());
+    orphans_->recount();
   }
+  publish_pending(rec);
   SSQ_MO_JUSTIFIED("release: unpin is visible before the active flag drops");
   rec->state.store(0, std::memory_order_release);
   SSQ_MO_JUSTIFIED("release: publishes the drained limbo lists to the "
@@ -196,16 +217,12 @@ void epoch_domain::retire(void *ptr, void (*deleter)(void *)) {
     // Bucket contents are from epoch e-3 or older: at least two full
     // advances have passed, safe to free.
     for (auto &rn : rec->limbo[b]) rn.deleter(rn.ptr);
-    SSQ_MO_JUSTIFIED("relaxed: monitoring counter, documented approximate");
-    retired_estimate_.fetch_sub(rec->limbo[b].size(),
-                                std::memory_order_relaxed);
     rec->limbo[b].clear();
     rec->limbo_epoch[b] = e;
   }
   rec->limbo[b].push_back({ptr, deleter});
+  publish_pending(rec);
   diag::bump(diag::id::node_retire);
-  SSQ_MO_JUSTIFIED("relaxed: monitoring counter, documented approximate");
-  retired_estimate_.fetch_add(1, std::memory_order_relaxed);
   if (++rec->op_count % collect_period == 0) collect();
 }
 
@@ -233,9 +250,10 @@ std::size_t epoch_domain::flush(record *rec) {
       rec->limbo[b].clear();
     }
   }
-  SSQ_MO_JUSTIFIED("relaxed: monitoring counter, documented approximate");
-  retired_estimate_.fetch_sub(freed, std::memory_order_relaxed);
-  if (freed) diag::bump(diag::id::epoch_flush);
+  if (freed) {
+    publish_pending(rec);
+    diag::bump(diag::id::epoch_flush);
+  }
   return freed;
 }
 
@@ -252,23 +270,33 @@ std::size_t epoch_domain::collect() {
     {
       std::lock_guard<std::mutex> lk(orphans_->mu);
       adopted.swap(orphans_->nodes);
+      orphans_->recount();
     }
     if (!adopted.empty()) {
       if (try_advance() && try_advance()) {
         for (auto &rn : adopted) rn.deleter(rn.ptr);
-        SSQ_MO_JUSTIFIED("relaxed: monitoring counter, documented "
-                         "approximate");
-        retired_estimate_.fetch_sub(adopted.size(),
-                                    std::memory_order_relaxed);
         freed += adopted.size();
       } else {
         std::lock_guard<std::mutex> lk(orphans_->mu);
         orphans_->nodes.insert(orphans_->nodes.end(), adopted.begin(),
                                adopted.end());
+        orphans_->recount();
       }
     }
   }
   return freed;
+}
+
+std::size_t epoch_domain::approx_retired() const noexcept {
+  SSQ_MO_JUSTIFIED("relaxed: monitoring count, documented approximate");
+  std::size_t n = orphans_->count.load(std::memory_order_relaxed);
+  SSQ_MO_JUSTIFIED("acquire: list traversal; a record's next is immutable "
+                   "once the publishing acq_rel CAS links it");
+  for (record *r = head_.load(std::memory_order_acquire); r; r = r->next) {
+    SSQ_MO_JUSTIFIED("relaxed: monitoring count, documented approximate");
+    n += r->pending.load(std::memory_order_relaxed);
+  }
+  return n;
 }
 
 std::size_t epoch_domain::drain() {

@@ -44,6 +44,8 @@ class epoch_domain {
     std::vector<retired_node> limbo[3];
     std::uint64_t limbo_epoch[3] = {0, 0, 0};
     std::uint64_t op_count = 0;
+    // Total limbo size, written only by the owner, for approx_retired().
+    std::atomic<std::size_t> pending{0};
   };
 
   // RAII critical-section pin.
@@ -81,10 +83,9 @@ class epoch_domain {
     return epoch_.value.load(std::memory_order_acquire);
   }
 
-  std::size_t approx_retired() const noexcept {
-    SSQ_MO_JUSTIFIED("relaxed: monitoring counter, documented approximate");
-    return retired_estimate_.load(std::memory_order_relaxed);
-  }
+  // Approximate count of not-yet-freed retirees: every record's
+  // owner-written limbo size plus the orphans (see hazard_domain).
+  std::size_t approx_retired() const noexcept;
 
   // Unique per construction (see hazard_domain::uid).
   std::uint64_t uid() const noexcept { return uid_; }
@@ -103,7 +104,6 @@ class epoch_domain {
   std::uint64_t uid_ = 0;
   padded_atomic<std::uint64_t> epoch_; // global epoch, starts at 2
   std::atomic<record *> head_{nullptr};
-  std::atomic<std::size_t> retired_estimate_{0};
   struct orphan_list;
   orphan_list *orphans_;
 };

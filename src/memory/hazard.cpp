@@ -45,7 +45,24 @@ std::uint64_t next_domain_uid() {
 struct hazard_domain::orphan_list {
   std::mutex mu;
   std::vector<retired_node> nodes;
+  std::atomic<std::size_t> count{0}; // nodes.size(), stored under mu
+
+  // Caller holds mu.
+  void recount() noexcept {
+    SSQ_MO_JUSTIFIED("relaxed: monitoring count, written under mu, read "
+                     "racily by approx_retired()");
+    count.store(nodes.size(), std::memory_order_relaxed);
+  }
 };
+
+namespace {
+// Owner: publish the record's retiree count for approx_retired().
+void publish_pending(hazard_domain::record *rec) noexcept {
+  SSQ_MO_JUSTIFIED("relaxed: single-writer monitoring count; readers sum "
+                   "it approximately and never order on it");
+  rec->pending.store(rec->retired.size(), std::memory_order_relaxed);
+}
+} // namespace
 
 struct hazard_domain::root_list {
   std::mutex mu;
@@ -206,7 +223,9 @@ void hazard_domain::release_record(record *rec) {
     std::lock_guard<std::mutex> lk(orphans_->mu);
     orphans_->nodes.insert(orphans_->nodes.end(), rec->retired.begin(),
                            rec->retired.end());
+    orphans_->recount();
     rec->retired.clear();
+    publish_pending(rec);
   }
   for (auto &s : rec->slots) {
     SSQ_MO_JUSTIFIED("release: a scanner reading null synchronizes with our "
@@ -247,9 +266,8 @@ hazard_domain::hazard::~hazard() noexcept {
 void hazard_domain::retire(void *ptr, void (*deleter)(void *)) {
   record *rec = acquire_record();
   rec->retired.push_back({ptr, deleter});
+  publish_pending(rec);
   diag::bump(diag::id::node_retire);
-  SSQ_MO_JUSTIFIED("relaxed: monitoring counter, documented approximate");
-  retired_estimate_.fetch_add(1, std::memory_order_relaxed);
 
   // Amortized threshold: R >= H (total hazard slots) guarantees each scan
   // frees at least R - H nodes.
@@ -272,6 +290,7 @@ std::size_t hazard_domain::scan_with(record *rec) {
       rec->retired.insert(rec->retired.end(), orphans_->nodes.begin(),
                           orphans_->nodes.end());
       orphans_->nodes.clear();
+      orphans_->recount();
     }
   }
   if (rec->retired.empty()) return 0;
@@ -314,9 +333,20 @@ std::size_t hazard_domain::scan_with(record *rec) {
     }
   }
   rec->retired.swap(survivors);
-  SSQ_MO_JUSTIFIED("relaxed: monitoring counter, documented approximate");
-  retired_estimate_.fetch_sub(freed, std::memory_order_relaxed);
+  publish_pending(rec);
   return freed;
+}
+
+std::size_t hazard_domain::approx_retired() const noexcept {
+  SSQ_MO_JUSTIFIED("relaxed: monitoring count, documented approximate");
+  std::size_t n = orphans_->count.load(std::memory_order_relaxed);
+  SSQ_MO_JUSTIFIED("acquire: list traversal; a record's next is immutable "
+                   "once the publishing acq_rel CAS links it");
+  for (record *r = head_.load(std::memory_order_acquire); r; r = r->next) {
+    SSQ_MO_JUSTIFIED("relaxed: monitoring count, documented approximate");
+    n += r->pending.load(std::memory_order_relaxed);
+  }
+  return n;
 }
 
 std::size_t hazard_domain::drain() {

@@ -61,6 +61,8 @@ class hazard_domain {
     // Owner-thread-only state:
     std::uint32_t used_mask = 0;
     std::vector<retired_node> retired;
+    // retired.size(), written only by the owner, for approx_retired().
+    std::atomic<std::size_t> pending{0};
   };
 
   // RAII guard over one hazard slot of the calling thread.
@@ -137,11 +139,10 @@ class hazard_domain {
   // survive).
   std::size_t drain();
 
-  // Approximate count of not-yet-freed retirees across the domain.
-  std::size_t approx_retired() const noexcept {
-    SSQ_MO_JUSTIFIED("relaxed: monitoring counter, documented approximate");
-    return retired_estimate_.load(std::memory_order_relaxed);
-  }
+  // Approximate count of not-yet-freed retirees across the domain: the sum
+  // of every record's owner-written count plus the orphans. Nodes in
+  // transit between an exiting thread and an adopter may be missed.
+  std::size_t approx_retired() const noexcept;
 
   std::size_t record_count() const noexcept {
     SSQ_MO_JUSTIFIED("relaxed: scan-threshold heuristic, staleness benign");
@@ -167,7 +168,6 @@ class hazard_domain {
   const std::uint64_t uid_;
   std::atomic<record *> head_{nullptr};
   std::atomic<std::size_t> nrecords_{0};
-  std::atomic<std::size_t> retired_estimate_{0};
 
   // Retirees inherited from exited threads, guarded by a plain mutex that is
   // only touched at thread exit and during scans.

@@ -52,6 +52,7 @@
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 
 #include "check/schedule_fuzz.hpp"
@@ -226,7 +227,13 @@ class park_slot {
 // until it holds, the deadline passes, or interruption is observed.
 //
 // `at_front` (nullary predicate) reports whether this waiter is next in line
-// for fulfillment; per the paper, only front waiters spin the long count.
+// for fulfillment; per the paper, only front waiters spin the long budget.
+//
+// The spin phase lasts a wall-clock budget (spin_policy's microseconds),
+// so its length does not depend on how many threads spin at once. The
+// clock is read once every `clock_every` iterations, starting with the first
+// probe that fails; the same read serves a timed wait's deadline check. The
+// spin_retry counter is kept in a local and bumped once, on exit.
 //
 // Post-condition (episode hygiene): the slot is never left `armed` --
 // every exit path either observed a wake or explicitly disarms.
@@ -236,29 +243,37 @@ park_slot::wait_result spin_then_park(park_slot &slot, DonePred done,
                                       FrontPred at_front, spin_policy pol,
                                       deadline dl,
                                       interrupt_token *tok = nullptr) noexcept {
-  // Phase 1: spin.
-  if (pol.unbounded_spin()) {
+  using wait_result = park_slot::wait_result;
+  constexpr int clock_every = 8;
+  std::uint64_t spins = 0;
+  auto leave = [&spins](wait_result r) noexcept {
+    if (spins != 0) diag::bump(diag::id::spin_retry, spins);
+    return r;
+  };
+  // Phase 1: spin. A negative budget never ends (spin_only); 0 skips it.
+  const int budget_us = pol.unbounded_spin() ? -1
+                        : at_front()         ? pol.front_spins
+                                             : pol.back_spins;
+  if (budget_us != 0) {
+    const bool bounded = budget_us > 0;
+    const bool timed = bounded || !dl.is_unbounded();
+    time_point spin_end{};
     for (int i = 0;; ++i) {
-      if (done()) return park_slot::wait_result::woken;
-      if (tok && tok->interrupted()) return park_slot::wait_result::interrupted;
-      if (!dl.is_unbounded() && dl.expired_now())
-        return park_slot::wait_result::timeout;
-      diag::bump(diag::id::spin_retry);
+      if (done()) return leave(wait_result::woken);
+      if (tok && tok->interrupted()) return leave(wait_result::interrupted);
+      if (timed && i % clock_every == 0) {
+        const time_point now = steady_clock::now();
+        if (now >= dl.when()) return leave(wait_result::timeout);
+        if (i == 0) spin_end = now + std::chrono::microseconds(budget_us);
+        if (bounded && now >= spin_end) break;
+      }
+      ++spins;
       pol.relax(i);
     }
   }
-  int budget = at_front() ? pol.front_spins : pol.back_spins;
-  for (int i = 0; i < budget; ++i) {
-    if (done()) return park_slot::wait_result::woken;
-    if (tok && tok->interrupted()) return park_slot::wait_result::interrupted;
-    if (!dl.is_unbounded() && dl.expired_now())
-      return park_slot::wait_result::timeout;
-    diag::bump(diag::id::spin_retry);
-    pol.relax(i);
-  }
   // Phase 2: park.
   for (;;) {
-    if (done()) return park_slot::wait_result::woken;
+    if (done()) return leave(wait_result::woken);
     slot.prepare();
     // The waiter's half of the wake() Dekker (store-load): orders the
     // arming CAS before the re-check's condition load, which `done` may do
@@ -267,12 +282,12 @@ park_slot::wait_result spin_then_park(park_slot &slot, DonePred done,
     SSQ_INTERLEAVE("park.post_prepare");
     if (done()) {
       slot.disarm(); // hygiene: do not exit an episode armed
-      return park_slot::wait_result::woken;
+      return leave(wait_result::woken);
     }
     auto r = slot.wait(dl, tok);
-    if (r != park_slot::wait_result::woken) {
+    if (r != wait_result::woken) {
       slot.disarm();
-      return r;
+      return leave(r);
     }
   }
 }

@@ -16,22 +16,27 @@
 namespace ssq::sync {
 
 struct spin_policy {
-  // Spin iterations to attempt before parking when this thread's node is
-  // next in line for fulfillment.
+  // Spin budgets are wall-clock MICROSECONDS, not iterations: an iteration's
+  // cost varies with how many threads spin at once and with what each probe
+  // touches, so an iteration count does not bound the time spent (the
+  // paper's rule is about time). 0 = park at once; negative = never park.
+  //
+  // How long to spin before parking when this thread's node is next in line
+  // for fulfillment.
   int front_spins = 0;
-  // Spin iterations when not at the front (the JDK uses 16x fewer; we keep
-  // the same ratio).
+  // How long to spin when not at the front.
   int back_spins = 0;
   // Insert a sched_yield every `yield_every` relax iterations (0 = never).
   // On an oversubscribed machine, yielding lets the counterpart run.
   int yield_every = 8;
 
   // The library default: spin briefly on multiprocessors, not at all on a
-  // uniprocessor -- exactly the paper's policy.
+  // uniprocessor -- the paper's policy. The budgets are measured, not the
+  // paper's "quarter of a context switch": see docs/algorithms.md §4.2.
   static spin_policy adaptive() noexcept {
     unsigned ncpu = std::thread::hardware_concurrency();
     if (ncpu <= 1) return spin_policy{0, 0, 1};
-    return spin_policy{512, 32, 64};
+    return spin_policy{50, 20, 64};
   }
 
   static spin_policy park_only() noexcept { return spin_policy{0, 0, 1}; }

@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <cstdint>
 #include <thread>
 #include <vector>
 
@@ -48,6 +50,21 @@ TEST(UniqueTask, MoveTransfersOwnership) {
 
 // ------------------------------------------------------------- executor
 
+// The pool bumps its completed/exception counters after the task returns,
+// so a task's own side effect can be seen before the pool has counted it.
+// Poll the counter (bounded) until it reaches `want`; returns its value.
+template <typename Count>
+std::uint64_t await_count(Count count, std::uint64_t want) {
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  std::uint64_t v = count();
+  while (v < want && std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::yield();
+    v = count();
+  }
+  return v;
+}
+
 template <typename Q>
 class ExecutorOverChannels : public ::testing::Test {};
 
@@ -62,7 +79,8 @@ TYPED_TEST(ExecutorOverChannels, RunsAllTasks) {
   const int n = 400;
   for (int i = 0; i < n; ++i) ASSERT_TRUE(ex.submit([&] { done++; }));
   while (done.load() < n) std::this_thread::yield();
-  EXPECT_EQ(ex.completed_count(), static_cast<std::uint64_t>(n));
+  EXPECT_EQ(await_count([&] { return ex.completed_count(); }, n),
+            static_cast<std::uint64_t>(n));
 }
 
 TYPED_TEST(ExecutorOverChannels, ReusesIdleWorkers) {
@@ -127,8 +145,8 @@ TYPED_TEST(ExecutorOverChannels, ThrowingTaskDoesNotKillPool) {
   ex.submit([] { throw std::runtime_error("boom"); });
   for (int i = 0; i < 50; ++i) ex.submit([&] { done++; });
   while (done.load() < 50) std::this_thread::yield();
-  EXPECT_EQ(ex.task_exception_count(), 1u);
-  EXPECT_EQ(ex.completed_count(), 50u);
+  EXPECT_EQ(await_count([&] { return ex.task_exception_count(); }, 1), 1u);
+  EXPECT_EQ(await_count([&] { return ex.completed_count(); }, 50), 50u);
 }
 
 TEST(Executor, MaxPoolSizeIsRespected) {
@@ -183,5 +201,6 @@ TEST(Executor, ParallelSubmittersStress) {
     });
   for (auto &t : subs) t.join();
   while (done.load() < nsub * per) std::this_thread::yield();
-  EXPECT_EQ(ex.completed_count(), static_cast<std::uint64_t>(nsub * per));
+  EXPECT_EQ(await_count([&] { return ex.completed_count(); }, nsub * per),
+            static_cast<std::uint64_t>(nsub * per));
 }

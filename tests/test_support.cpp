@@ -2,6 +2,7 @@
 // diagnostics.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -239,4 +240,60 @@ TEST(Diag, CountersAreThreadSafe) {
     });
   for (auto &t : ts) t.join();
   EXPECT_EQ(diag::read(diag::id::spin_retry), 40000u);
+}
+
+// A thread's counts outlive it: its shard is folded into the accumulator at
+// thread exit, which completes before join() returns.
+TEST(Diag, ExitedThreadCountsSurvive) {
+  diag::reset_all();
+  const auto before = diag::snapshot::take();
+  std::thread([] {
+    diag::bump(diag::id::clean_call, 5);
+    diag::bump(diag::id::cas_fail);
+  }).join();
+  EXPECT_EQ(diag::read(diag::id::clean_call), 5u);
+  EXPECT_EQ(diag::read(diag::id::cas_fail), 1u);
+  const auto d = diag::snapshot::take() - before;
+  EXPECT_EQ(d[diag::id::clean_call], 5u);
+  EXPECT_EQ(d[diag::id::cas_fail], 1u);
+}
+
+// Thread churn recycles shards instead of growing the registry: each of
+// these threads exits before the next starts, so one shard serves them all.
+TEST(Diag, SequentialThreadsReuseOneShard) {
+  diag::reset_all();
+  diag::bump(diag::id::park, 0); // attach this thread's shard first
+  const std::size_t shards0 = diag::shard_count();
+  for (int i = 0; i < 200; ++i)
+    std::thread([] { diag::bump(diag::id::seg_alloc, 3); }).join();
+  EXPECT_LE(diag::shard_count(), shards0 + 1);
+  EXPECT_EQ(diag::read(diag::id::seg_alloc), 600u);
+}
+
+// reset_all() writes no shard, yet reads after it are exact deltas, also
+// for a thread that bumped before the reset and is still alive.
+TEST(Diag, ResetWhileAnotherThreadLives) {
+  std::atomic<int> phase{0};
+  auto await = [&](int p) {
+    while (phase.load(std::memory_order_acquire) != p)
+      std::this_thread::yield();
+  };
+  std::thread other([&] {
+    diag::bump(diag::id::unpark, 100);
+    phase.store(1, std::memory_order_release);
+    await(2);
+    diag::bump(diag::id::unpark, 7);
+    phase.store(3, std::memory_order_release);
+    await(4); // stay alive until the reads below are done
+  });
+  await(1);
+  diag::reset_all();
+  EXPECT_EQ(diag::read(diag::id::unpark), 0u);
+  phase.store(2, std::memory_order_release);
+  await(3);
+  EXPECT_EQ(diag::read(diag::id::unpark), 7u);
+  EXPECT_EQ(diag::snapshot::take()[diag::id::unpark], 7u);
+  phase.store(4, std::memory_order_release);
+  other.join();
+  EXPECT_EQ(diag::read(diag::id::unpark), 7u) << "exit fold changed a delta";
 }

@@ -2,6 +2,7 @@
 // backoff, semaphore, monitor, fair lock, interruption.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <mutex>
 #include <thread>
@@ -148,6 +149,119 @@ TEST(ParkSlot, SpinOnlyPolicyNeverParks) {
   EXPECT_EQ(r, park_slot::wait_result::woken);
   EXPECT_EQ(diag::read(diag::id::park), 0u);
   EXPECT_GT(diag::read(diag::id::spin_retry), 0u);
+}
+
+// Every exit of spin_then_park() reports the iterations it spun: the count
+// is kept locally and bumped once on the way out, whichever way that is.
+TEST(ParkSlot, SpinRetryCountedOnEveryExit) {
+  const spin_policy long_spin{100000, 100000, 64}; // 100 ms: never runs out
+  const spin_policy short_spin{20, 20, 64};
+  auto spun = [](auto &&wait) {
+    const std::uint64_t before = diag::read(diag::id::spin_retry);
+    const auto r = wait();
+    return std::pair{r, diag::read(diag::id::spin_retry) - before};
+  };
+  {
+    park_slot s;
+    int probes = 0;
+    auto [r, n] = spun([&] {
+      return spin_then_park(s, [&] { return ++probes == 10; },
+                            [] { return true; }, long_spin,
+                            deadline::unbounded());
+    });
+    EXPECT_EQ(r, park_slot::wait_result::woken);
+    EXPECT_EQ(n, 9u) << "woken in the spin phase";
+  }
+  {
+    park_slot s;
+    auto [r, n] = spun([&] {
+      return spin_then_park(s, [] { return false; }, [] { return true; },
+                            long_spin,
+                            deadline::in(std::chrono::milliseconds(20)));
+    });
+    EXPECT_EQ(r, park_slot::wait_result::timeout);
+    EXPECT_GT(n, 0u) << "timed out while spinning";
+  }
+  {
+    park_slot s;
+    auto [r, n] = spun([&] {
+      return spin_then_park(s, [] { return false; }, [] { return true; },
+                            short_spin,
+                            deadline::in(std::chrono::milliseconds(20)));
+    });
+    EXPECT_EQ(r, park_slot::wait_result::timeout);
+    EXPECT_GT(n, 0u) << "timed out while parked";
+  }
+  {
+    park_slot s;
+    interrupt_token tok;
+    std::atomic<int> probes{0};
+    std::thread interrupter([&] {
+      while (probes.load() < 10) std::this_thread::yield();
+      tok.interrupt();
+    });
+    auto [r, n] = spun([&] {
+      return spin_then_park(
+          s, [&] { return probes.fetch_add(1) < 0; }, [] { return true; },
+          spin_policy::spin_only(), deadline::unbounded(), &tok);
+    });
+    interrupter.join();
+    EXPECT_EQ(r, park_slot::wait_result::interrupted);
+    EXPECT_GT(n, 0u) << "interrupted while spinning";
+  }
+}
+
+// The spin budget is wall-clock time, so the spin phase lasts as long with
+// three threads spinning at once as with one. (Counted in iterations that
+// each bumped a shared counter, it ran ~3x longer with three spinners.)
+TEST(ParkSlot, SpinPhaseLengthIndependentOfSpinnerCount) {
+  if (std::thread::hardware_concurrency() < 4)
+    GTEST_SKIP() << "needs a core per spinner";
+  // The library's budgets without the periodic sched_yield, which on a
+  // loaded host hands the CPU away for a scheduler-chosen time.
+  spin_policy pol = spin_policy::adaptive();
+  pol.yield_every = 0;
+  // Entry to first prepare(): the first probe that finds the slot armed is
+  // the post-prepare re-check, and answering true there ends the wait.
+  auto spin_phase_ns = [&pol] {
+    park_slot s;
+    steady_clock::time_point armed{};
+    const auto t0 = steady_clock::now();
+    spin_then_park(
+        s,
+        [&] {
+          if (!s.is_armed()) return false;
+          armed = steady_clock::now();
+          return true;
+        },
+        [] { return true; }, pol, deadline::in(std::chrono::seconds(10)));
+    return static_cast<double>((armed - t0).count());
+  };
+  auto median = [](std::vector<double> v) {
+    std::sort(v.begin(), v.end());
+    return v[v.size() / 2];
+  };
+  constexpr int reps = 60;
+  std::vector<double> one, three;
+  for (int r = 0; r < reps; ++r) one.push_back(spin_phase_ns());
+  for (int r = 0; r < reps; ++r) {
+    std::atomic<int> ready{0};
+    std::mutex mu;
+    std::vector<std::thread> ts;
+    for (int t = 0; t < 3; ++t)
+      ts.emplace_back([&] {
+        ready.fetch_add(1);
+        while (ready.load() < 3) {
+        }
+        const double ns = spin_phase_ns();
+        std::lock_guard<std::mutex> lk(mu);
+        three.push_back(ns);
+      });
+    for (auto &t : ts) t.join();
+  }
+  const double m1 = median(one), m3 = median(three);
+  EXPECT_LE(m3, 2 * m1) << "1 spinner: " << m1 << " ns, 3 spinners: " << m3
+                        << " ns";
 }
 
 TEST(ParkSlot, ParkOnlyPolicyParksPromptly) {
