@@ -113,35 +113,36 @@ inline std::string spin_policy_meta() {
          "us yield_every=" + std::to_string(pol.yield_every);
 }
 
-// Full-config form: CSV plus the optional --json series. The JSON header
-// records provenance: which memory-order mode the binary was compiled in
-// (annotations.hpp's SSQ_MO switch), the source revision, and the host and
-// build it ran on (CPU count, compiler, build type, spin policy), so
-// committed BENCH_*.json snapshots are self-describing and bench_compare.py
-// can refuse to diff two runs of the same mode as if they were a
-// differential.
+// Write `t` as JSON to `path` with a provenance header: which memory-order
+// mode the binary was compiled in (annotations.hpp's SSQ_MO switch), the
+// source revision, and the host and build it ran on (CPU count, compiler,
+// build type, spin policy), so committed BENCH_*.json snapshots are
+// self-describing and bench_compare.py can refuse to diff two runs of the
+// same mode as if they were a differential.
+inline void write_json(harness::table &t, const std::string &path) {
+  t.set_meta("memory_order", SSQ_MEMORY_ORDER_MODE);
+#if defined(SSQ_GIT_REV)
+  t.set_meta("git_rev", SSQ_GIT_REV);
+#else
+  t.set_meta("git_rev", "unknown");
+#endif
+  t.set_meta("hardware_concurrency",
+             std::to_string(std::thread::hardware_concurrency()));
+  t.set_meta("compiler", compiler_id());
+#if defined(SSQ_BUILD_TYPE)
+  t.set_meta("build_type", SSQ_BUILD_TYPE);
+#else
+  t.set_meta("build_type", "unknown");
+#endif
+  t.set_meta("spin_policy", spin_policy_meta());
+  if (t.write_json(path)) std::printf("(json written to %s)\n", path.c_str());
+}
+
+// Full-config form: CSV plus the optional --json series.
 inline void emit(harness::table &t, const sweep_config &cfg,
                  const char *title) {
   emit(t, cfg.csv, title);
-  if (!cfg.json.empty()) {
-    t.set_meta("memory_order", SSQ_MEMORY_ORDER_MODE);
-#if defined(SSQ_GIT_REV)
-    t.set_meta("git_rev", SSQ_GIT_REV);
-#else
-    t.set_meta("git_rev", "unknown");
-#endif
-    t.set_meta("hardware_concurrency",
-               std::to_string(std::thread::hardware_concurrency()));
-    t.set_meta("compiler", compiler_id());
-#if defined(SSQ_BUILD_TYPE)
-    t.set_meta("build_type", SSQ_BUILD_TYPE);
-#else
-    t.set_meta("build_type", "unknown");
-#endif
-    t.set_meta("spin_policy", spin_policy_meta());
-    if (t.write_json(cfg.json))
-      std::printf("(json written to %s)\n", cfg.json.c_str());
-  }
+  if (!cfg.json.empty()) write_json(t, cfg.json);
 }
 
 } // namespace ssq::bench

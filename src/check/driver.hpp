@@ -21,7 +21,6 @@
 
 #include "check/history.hpp"
 #include "check/oracle.hpp"
-#include "core/lane.hpp"
 #include "support/codec.hpp"
 #include "support/rng.hpp"
 #include "support/time.hpp"
@@ -44,10 +43,6 @@ struct checked_ops {
   // when empty. Used by the post-run drain loop.
   std::function<std::optional<std::uint64_t>()> drain_one;
   bool fair = false;
-  // The implementation publishes its pairing lane via ssq::tl_last_lane
-  // (core/lane.hpp); run_mixed copies it into every event so the oracle
-  // can check FIFO per lane (rules::fifo_lanes).
-  bool lanes = false;
 };
 
 struct driver_cfg {
@@ -118,17 +113,13 @@ inline std::uint64_t run_mixed(const checked_ops &ops, const driver_cfg &cfg,
           if (go_async) {
             op_scope sc(rec, static_cast<std::size_t>(t), op_role::produce,
                         wait_kind::async);
-            if (ops.lanes) tl_last_lane = lane_unattributed;
             ops.produce_async(v);
-            if (ops.lanes) sc.lane(tl_last_lane);
             sc.commit(op_status::ok, v, 0);
             if (stats) stats->produced.fetch_add(1, std::memory_order_relaxed);
           } else {
             op_scope sc(rec, static_cast<std::size_t>(t), op_role::produce,
                         wk);
-            if (ops.lanes) tl_last_lane = lane_unattributed;
             op_status st = ops.produce(v, wk, dl);
-            if (ops.lanes) sc.lane(tl_last_lane);
             sc.commit(st, v, 0);
             if (stats) {
               if (st == op_status::ok)
@@ -143,9 +134,7 @@ inline std::uint64_t run_mixed(const checked_ops &ops, const driver_cfg &cfg,
           }
         } else {
           op_scope sc(rec, static_cast<std::size_t>(t), op_role::consume, wk);
-          if (ops.lanes) tl_last_lane = lane_unattributed;
           auto [st, got] = ops.consume(wk, dl);
-          if (ops.lanes) sc.lane(tl_last_lane);
           sc.commit(st, 0, st == op_status::ok ? got : 0);
           if (stats) {
             if (st == op_status::ok)
@@ -174,9 +163,7 @@ inline std::uint64_t run_mixed(const checked_ops &ops, const driver_cfg &cfg,
     const std::size_t drain_tid = static_cast<std::size_t>(cfg.threads);
     for (;;) {
       op_scope sc(rec, drain_tid, op_role::consume, wait_kind::timed);
-      if (ops.lanes) tl_last_lane = lane_unattributed;
       auto got = ops.drain_one();
-      if (ops.lanes) sc.lane(tl_last_lane);
       if (!got) {
         sc.commit(op_status::timeout, 0, 0);
         break;
@@ -205,9 +192,8 @@ checked_ops make_checked_ops(std::shared_ptr<Q> q, bool fair,
       };
   checked_ops o;
   o.fair = fair;
-  if constexpr (requires { Q::lane_attributed; }) o.lanes = Q::lane_attributed;
-  // Structures with a buffering producer mode (fabric spill lanes) get the
-  // async workload slice too -- that is what drives the bulk-detach path.
+  // Structures with a buffering producer mode get the async workload slice
+  // too (core_view below: async nodes mixed with waiting ones).
   if constexpr (requires(Q &qq) { qq.put_async(std::uint64_t{1}); })
     o.produce_async = [q](std::uint64_t v) { q->put_async(v); };
   o.produce = [q, tok](std::uint64_t v, wait_kind wk, deadline dl) {

@@ -462,6 +462,7 @@ class segment_queue {
             contribute(s, 1);
             return cell_outcome::retry;
           }
+          diag::bump(diag::id::cas_fail);
           continue; // counterpart arrived after all; st reloaded
         }
         if (is_data) {
@@ -479,6 +480,7 @@ class segment_queue {
             out = e; // the matcher contributes both shares for async cells
             return cell_outcome::transferred;
           }
+          diag::bump(diag::id::cas_fail);
           continue;
         }
         SSQ_CELL_TRANSITION(cell_empty, cell_waiter, "cell.publish");
@@ -489,6 +491,7 @@ class segment_queue {
           live_.value.fetch_add(1, SSQ_MO(relaxed));
           return await_match(s, c, idx, e, is_data, dl, tok, out);
         }
+        diag::bump(diag::id::cas_fail);
         continue;
       }
       if (st == cell_poisoned) {
@@ -523,6 +526,7 @@ class segment_queue {
           out = got;
           return cell_outcome::transferred;
         }
+        diag::bump(diag::id::cas_fail);
         st = ex; // waiter cancelled (or a losing selector poisoned it)
         continue;
       }
@@ -550,6 +554,7 @@ class segment_queue {
     SSQ_MO_ACQUIRE_EDGE("cell.publish");
     if (!c.state.compare_exchange_strong(ex, cell_claimed, SSQ_MO(acq_rel))) {
       // The selector resolved the reservation first (poisoned it).
+      diag::bump(diag::id::cas_fail);
       contribute(s, 1);
       return cell_outcome::retry;
     }
@@ -628,6 +633,7 @@ class segment_queue {
         return cell_outcome::cancelled;
       }
       // Lost the race to a concurrent finalizer; fall through to read it.
+      diag::bump(diag::id::cas_fail);
     }
     SSQ_MO_ACQUIRE_EDGE("cell.commit");
     std::uintptr_t st = c.state.load(SSQ_MO(acquire));
@@ -669,6 +675,7 @@ class segment_queue {
           live_.value.fetch_add(1, SSQ_MO(relaxed));
           return seg_reg_status::installed;
         }
+        diag::bump(diag::id::cas_fail);
         continue;
       }
       if (st == cell_poisoned) {
@@ -723,6 +730,7 @@ class segment_queue {
     }
     // The waiter cancelled between arbitration and commit. The select is
     // already decided in our favor, so finish directly on this queue.
+    diag::bump(diag::id::cas_fail);
     contribute(s, 1);
     w.result = xfer(e, is_data,
                     dl.is_unbounded() ? wait_kind::sync : wait_kind::timed, dl,
@@ -779,6 +787,7 @@ class segment_queue {
     SSQ_MO_RELEASE_EDGE("cell.claim");
     SSQ_MO_ACQUIRE_EDGE("cell.publish");
     if (!c.state.compare_exchange_strong(ex, cell_claimed, SSQ_MO(acq_rel))) {
+      diag::bump(diag::id::cas_fail);
       contribute(s, 1); // peer resolved it first (poisoned)
       return seg_reg_status::retry;
     }

@@ -47,7 +47,7 @@ enum class id : unsigned {
   spin_retry,   // spin-loop iterations before a park
   clean_call,   // transfer_queue/stack cancelled-node cleaning passes
   clean_unlink, // cancelled nodes successfully unlinked
-  cas_fail,     // head/tail/item CAS failures (contention indicator)
+  cas_fail,     // lost head/tail/item/cell-state CASes (contention indicator)
   pool_recycle, // node_pool allocations served from magazine/ring/orphans
   pool_fresh,   // node_pool allocations that carved a fresh chunk
   seg_alloc,    // segment_queue: 64-cell segments allocated

@@ -22,18 +22,28 @@ namespace {
 item_token tok_of(int v) { return item_codec<int>::encode(v); }
 
 // Hammer a structure with micro-patience timed ops from both sides plus a
-// trickle of real traffic; conservation and reclamation must survive.
+// trickle of real traffic; conservation and reclamation must survive. With
+// async_every = k > 0, every k-th put of a thread is wait_kind::async (it
+// cannot fail, and parks its item in the structure when no consumer is
+// waiting); the leftovers are drained after the storm.
 template <typename Core>
-void storm(Core &core, int threads, int iters) {
+void storm(Core &core, int threads, int iters, int async_every = 0) {
   std::atomic<long> in{0}, out{0};
   std::atomic<int> net{0}; // successful puts minus successful takes
   std::vector<std::thread> ts;
   for (int t = 0; t < threads; ++t) {
     ts.emplace_back([&, t] {
+      int puts = 0;
       for (int i = 0; i < iters; ++i) {
         if ((t + i) % 2 == 0) {
           int v = t * iters + i + 1;
           item_token tk = tok_of(v);
+          if (async_every > 0 && ++puts % async_every == 0) {
+            core.xfer(tk, true, wait_kind::async);
+            in.fetch_add(v);
+            net.fetch_add(1);
+            continue;
+          }
           item_token r =
               core.xfer(tk, true, wait_kind::timed,
                         deadline::in(std::chrono::microseconds(15 + i % 40)));
@@ -54,6 +64,15 @@ void storm(Core &core, int threads, int iters) {
     });
   }
   for (auto &t : ts) t.join();
+  if (async_every > 0) {
+    for (;;) {
+      item_token r = core.xfer(empty_token, false, wait_kind::timed,
+                               deadline::in(std::chrono::milliseconds(50)));
+      if (r == empty_token) break;
+      out.fetch_add(item_codec<int>::decode_consume(r));
+      net.fetch_sub(1);
+    }
+  }
   // Every successful put paired with exactly one successful take.
   EXPECT_EQ(net.load(), 0);
   EXPECT_EQ(in.load(), out.load());
@@ -117,18 +136,19 @@ TEST(CancellationStorm, StackFullReclamation) {
 // invariants as the linked cores -- no lost wakeups (net == 0), no value
 // corruption (in == out) -- plus segment-granular reclamation: every
 // poison-riddled segment still reaches done == contributions and is
-// retired exactly once.
+// retired exactly once. Every 16th put is async, so ASYNC cells (matched
+// with both contributions by their consumer) mix with the poisoning.
 // ---------------------------------------------------------------------------
 
 TEST(CancellationStorm, SegmentedBothDirections) {
   segment_queue<> q;
-  storm(q, 6, 4000);
+  storm(q, 6, 4000, 16);
 }
 
 TEST(CancellationStorm, SegmentedRepeatedRounds) {
   for (int round = 0; round < 5; ++round) {
     segment_queue<> q;
-    storm(q, 4, 1500);
+    storm(q, 4, 1500, 16);
   }
 }
 
@@ -138,7 +158,7 @@ TEST(CancellationStorm, SegmentedFullReclamation) {
     mem::hazard_domain dom;
     segment_queue<> q(sync::spin_policy::adaptive(),
                       mem::pooled_hp_reclaimer{&dom});
-    storm(q, 4, 3000);
+    storm(q, 4, 3000, 16);
     dom.drain();
     // The storm's micro-patience waits must actually have poisoned cells
     // (otherwise this test exercises nothing) and the poisoning must have

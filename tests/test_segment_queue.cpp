@@ -4,10 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstring>
 #include <optional>
 #include <thread>
 #include <vector>
 
+#include "check/schedule_fuzz.hpp"
 #include "core/channel.hpp"
 #include "core/segment_queue.hpp"
 #include "core/select.hpp"
@@ -152,6 +154,75 @@ TEST(SegmentQueue, ManyThreadsConserveValues) {
   EXPECT_EQ(in.load(), out.load());
   EXPECT_TRUE(q.is_empty());
 }
+
+// ------------------------------------------------------------ counters
+
+#if defined(SSQ_SCHEDULE_FUZZ)
+namespace {
+
+// Point hook: stall the thread that armed tl_stall_at at that label until
+// the test releases it.
+std::atomic<bool> g_stalled{false}, g_release{false};
+thread_local const char *tl_stall_at = nullptr;
+
+void stall_hook(const char *label) {
+  if (tl_stall_at && std::strcmp(label, tl_stall_at) == 0) {
+    tl_stall_at = nullptr;
+    g_stalled.store(true);
+    while (!g_release.load()) std::this_thread::yield();
+  }
+}
+
+} // namespace
+
+// A now-mode producer finds a timed consumer's WAITER cell and stops at
+// sq.match.cas, just before its WAITER -> MATCHED CAS. The consumer times
+// out meanwhile and poisons its cell, so the released producer loses the
+// cell-state CAS: exactly one cas_fail, and the producer reports a miss.
+TEST(SegmentQueueCounters, LostMatchCasBumpsCasFail) {
+  fuzz::config fc;
+  fc.yield_permille = 0;
+  fc.sleep_permille = 0;
+  fuzz::enable(fc);
+  fuzz::set_point_hook(&stall_hook);
+  g_stalled.store(false);
+  g_release.store(false);
+  diag::reset_all();
+  {
+    mem::hazard_domain dom;
+    segment_queue<> q(sync::spin_policy::adaptive(),
+                      mem::pooled_hp_reclaimer{&dom});
+    item_token taken = ~empty_token, put = ~empty_token; // read after join
+    std::thread consumer([&] {
+      taken = q.xfer(empty_token, false, wait_kind::timed,
+                     deadline::in(std::chrono::milliseconds(50)));
+    });
+    while (q.is_empty()) std::this_thread::yield();
+    std::thread producer([&] {
+      tl_stall_at = "sq.match.cas";
+      put = q.xfer(item_codec<int>::encode(7), true, wait_kind::now);
+    });
+    while (!g_stalled.load()) std::this_thread::yield();
+    consumer.join();
+    EXPECT_EQ(taken, empty_token); // timed out: its cell is poisoned
+    EXPECT_EQ(diag::read(diag::id::cas_fail), 0u);
+
+    g_release.store(true);
+    producer.join();
+    EXPECT_EQ(put, empty_token); // the only waiter had left
+    EXPECT_EQ(diag::read(diag::id::cas_fail), 1u);
+    EXPECT_TRUE(q.is_empty());
+    dom.drain();
+  }
+  EXPECT_EQ(diag::read(diag::id::node_alloc), diag::read(diag::id::node_free));
+  fuzz::set_point_hook(nullptr);
+  fuzz::disable();
+}
+#else
+TEST(SegmentQueueCounters, LostMatchCasBumpsCasFail) {
+  GTEST_SKIP() << "needs -DSSQ_SCHEDULE_FUZZ=ON (point hooks)";
+}
+#endif
 
 // -------------------------------------------------------- registering select
 

@@ -7,6 +7,10 @@
 // they dominate the mean.
 //
 //   ./latency_histogram --ops=20000 --impls=new-fair,new-unfair,...
+//                       [--csv=PATH] [--json=PATH]
+//
+// --json writes the table with the same host/compiler/build-type/spin-policy
+// header as the bench binaries (bench/bench_common.hpp).
 #include <atomic>
 #include <cstdio>
 #include <functional>
@@ -18,6 +22,7 @@
 #include "baselines/hanson_sq.hpp"
 #include "baselines/java5_sq.hpp"
 #include "baselines/naive_sq.hpp"
+#include "bench_common.hpp"
 #include "core/eliminating_sq.hpp"
 #include "core/synchronous_queue.hpp"
 #include "harness/options.hpp"
@@ -110,5 +115,7 @@ int main(int argc, char **argv) {
   std::string csv = opt.get("csv", "");
   if (!csv.empty() && t.write_csv(csv))
     std::printf("(csv written to %s)\n", csv.c_str());
+  std::string json = opt.get("json", "");
+  if (!json.empty()) bench::write_json(t, json);
   return 0;
 }

@@ -17,13 +17,10 @@
 //
 //   ./torture --impl=new-fair --threads=8 --seconds=30 --seed=42
 //             --check=linearize [--fuzz=1]
-//   impls: new-fair new-unfair seg-fair fab-fair fab-unfair java5-fair
-//          java5-unfair naive eliminating elim-unfair elim-fair
-//          stack-core ltq exchanger channel
+//   impls: new-fair new-unfair seg-fair java5-fair java5-unfair naive
+//          eliminating elim-unfair stack-core ltq exchanger channel
 //   (exchanger and channel support --check=linearize only. "eliminating"
-//   is an alias for elim-unfair. Lane-attributed impls -- fab-* and elim-*
-//   -- are checked against the relaxed per-lane FIFO spec when fair.
-//   stack-core is the raw transfer_stack behind new-unfair, driven through
+//   is an alias for elim-unfair. stack-core is the raw transfer_stack behind new-unfair, driven through
 //   its whole xfer surface: async puts mix with timed and now operations,
 //   so lost pushes, in-place matches and dead-node collapse interleave.)
 //
@@ -128,16 +125,6 @@ impl_desc make_impl(const std::string &name) {
   if (name == "seg-fair")
     return make_impl_both(
         std::make_shared<segmented_synchronous_queue<std::uint64_t>>(), true);
-  if (name == "fab-fair")
-    return make_impl_both(
-        std::make_shared<fair_fabric_synchronous_queue<std::uint64_t>>(
-            fabric_config{4}),
-        true);
-  if (name == "fab-unfair")
-    return make_impl_both(
-        std::make_shared<fabric_synchronous_queue<std::uint64_t>>(
-            fabric_config{4}),
-        false);
   if (name == "java5-fair")
     return make_impl_both(std::make_shared<java5_sq<std::uint64_t, true>>(),
                           true);
@@ -149,9 +136,6 @@ impl_desc make_impl(const std::string &name) {
   if (name == "eliminating" || name == "elim-unfair")
     return make_impl_both(std::make_shared<eliminating_sq<std::uint64_t>>(),
                           false);
-  if (name == "elim-fair")
-    return make_impl_both(
-        std::make_shared<fair_eliminating_sq<std::uint64_t>>(), true);
   if (name == "stack-core")
     return make_impl_both(
         std::make_shared<check::core_view<transfer_stack<>>>(), false);
@@ -365,10 +349,7 @@ int run_linearize(const std::string &impl, impl_desc &d, int nthreads,
   vit.join();
 
   check::rules r;
-  // Lane-attributed fair impls (fabric, eliminating queue) promise FIFO
-  // per pairing lane, not globally (check/oracle.hpp P4').
-  r.fifo = d.fair && !d.checked.lanes;
-  r.fifo_lanes = d.fair && d.checked.lanes;
+  r.fifo = d.fair;
   r.require_all_consumed = true;
   auto events = rec.collect();
   check::report rep = check::check_history(events, r);
@@ -376,7 +357,7 @@ int run_linearize(const std::string &impl, impl_desc &d, int nthreads,
               "(fifo %s)\n",
               rep.ok() ? "PASS" : "FAIL", rep.events, rep.pairs,
               rep.cancelled, rep.violations.size(),
-              r.fifo ? "checked" : (r.fifo_lanes ? "per-lane" : "n/a"));
+              r.fifo ? "checked" : "n/a");
   if (!rep.ok()) {
     std::fprintf(stderr, "%s", check::summarize(rep).c_str());
     dump_failure(impl, seed, nthreads, seconds, fuzz, rep, std::move(events));
